@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="job queue, report store, and stage cache home "
                             "(default: .dio-service)")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="concurrently analysed submissions (default: 2)")
+                       help="slots of the in-process fleet node: concurrently "
+                            "analysed submissions (default: 2; 0: none)")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="process fan-out per analysis (default: 1)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",

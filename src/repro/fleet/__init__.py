@@ -1,11 +1,11 @@
 """Fleet mode: multi-node scale-out of the analysis service.
 
 ``diogenes serve`` remains the *coordinator* — the single owner of the
-job queue, the report store, and the HTTP front door — while N
-``diogenes worker --coordinator URL`` processes (on this host or
-others) pull jobs over the same HTTP/JSON protocol, execute them
-through their own :class:`repro.exec.StageExecutor`, and push
-columnar-encoded reports plus trace spans home:
+job queue, the report store, and the HTTP front door — while worker
+nodes pull jobs, execute them through their own
+:class:`repro.exec.StageExecutor`, and push reports plus trace spans
+home: ``diogenes worker --coordinator URL`` processes over HTTP, and
+the daemon's own ``--workers N`` node by direct calls.
 
 * :mod:`repro.fleet.ring` — consistent-hash ring: report keys map to
   owning workers, so a given submission always lands on the same node
@@ -17,7 +17,7 @@ columnar-encoded reports plus trace spans home:
   the trace stitcher that roots every pushed span batch under one
   ``service.job`` tree;
 * :mod:`repro.fleet.worker` — the worker-node loop: register, pull,
-  heartbeat, execute, push.
+  heartbeat, execute, push — and the in-process link.
 
 Delivery contract: jobs are leased, not handed over.  A worker that
 stops heartbeating (crash, partition, SIGKILL) loses its lease and

@@ -13,10 +13,9 @@ file      :class:`repro.service.queue.FileJobQueue`   :class:`repro.service.stor
 sqlite    :class:`repro.service.sqlite.SqliteJobQueue`  :class:`repro.service.sqlite.SqliteReportStore`
 ========  ==========================================  =========================================
 
-Out-of-tree backends register with :func:`register_backend`; both
-shared contract suites (``tests/test_queue_backends.py``,
-``tests/test_store_backends.py``) are written against the abstract
-surfaces, so a new backend can run them directly.
+Both pass the shared contract suites (``tests/test_queue_backends.py``,
+``tests/test_store_backends.py``), written against the abstract
+surfaces.
 """
 
 from __future__ import annotations
@@ -48,11 +47,6 @@ _BACKENDS: dict[str, tuple] = {
 
 def backend_names() -> list[str]:
     return sorted(_BACKENDS)
-
-
-def register_backend(name: str, queue_factory, store_factory) -> None:
-    """Add (or replace) a named backend pair."""
-    _BACKENDS[name] = (queue_factory, store_factory)
 
 
 def make_queue(backend: str, path: str | os.PathLike) -> JobQueueBackend:

@@ -1,11 +1,11 @@
 """Coordinator-side fleet state: workers, leases, duplicate
 suppression, and trace stitching.
 
-The daemon owns one :class:`FleetCoordinator`.  Every fleet route
-(``/fleet/register``, ``/fleet/pull``, ``/fleet/heartbeat``,
-``/fleet/complete``, ``/fleet/fail``, ``/fleet/workers``) is a thin
-JSON shim over a method here, so the protocol logic is testable
-without a socket.
+The daemon owns one :class:`FleetCoordinator`.  Nodes reach it through
+a :class:`~repro.fleet.worker.LocalLink` of direct calls: the daemon's
+in-process node holds one, and the ``/fleet/*`` routes remote nodes
+call are thin JSON shims over another, so the protocol logic is
+testable without a socket.
 
 Scheduling rules applied by :meth:`FleetCoordinator.pull`, in order,
 per submitted job (oldest first):
@@ -26,9 +26,10 @@ identity from its own code tree, and a key mismatch with the
 coordinator's submit-time key means the fleet is running skewed code
 — the job fails loudly rather than archiving bytes under a wrong key.
 A *stale* completion (lease expired, job already redelivered or
-finished elsewhere) is acknowledged but changes nothing: results are
-content-addressed, so the first completion won and the stale bytes
-are identical anyway.
+finished elsewhere) is acknowledged, not applied as the job's
+completion: results are content-addressed, so the stale bytes are
+identical to any winner's.  They are banked, and queued submissions
+of the key — the requeued job itself included — resolve from them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 
 import repro.obs as obs
-from repro.exec.columnar import decode_tree
 from repro.obs.tracer import Tracer
 from repro.service.queue import DONE, RUNNING, SUBMITTED, Job
 from repro.service.store import ReportIdentity
@@ -64,7 +64,6 @@ class WorkerInfo:
     last_seen: float = field(default_factory=time.time)
     jobs_completed: int = 0
     jobs_failed: int = 0
-    active_job: str | None = None
 
     def to_json(self, now: float | None = None,
                 ttl: float = DEFAULT_WORKER_TTL) -> dict:
@@ -76,7 +75,6 @@ class WorkerInfo:
             "live": (now - self.last_seen) <= ttl,
             "jobs_completed": self.jobs_completed,
             "jobs_failed": self.jobs_failed,
-            "active_job": self.active_job,
         }
 
 
@@ -151,12 +149,9 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     # Pull / heartbeat
     # ------------------------------------------------------------------
-    def pull(self, worker_id: str,
-             lease_seconds: float | None = None) -> Job | None:
+    def pull(self, worker_id: str) -> Job | None:
         """Claim the oldest eligible submitted job for this worker."""
-        info = self.touch(worker_id)
-        lease = lease_seconds if lease_seconds is not None \
-            else self.lease_seconds
+        self.touch(worker_id)
         alive = self.live_workers()
         inflight = {job.report_key
                     for job in self.queue.jobs_in_state(RUNNING)}
@@ -164,12 +159,7 @@ class FleetCoordinator:
             if self.store.contains(job.report_key):
                 # Another execution pushed this report since submit
                 # time: resolve without running anything, observably.
-                if self.queue.claim_job(job.id) is not None:
-                    self._publish(job.id, "job.done",
-                                  report_key=job.report_key,
-                                  served_from="store")
-                    self.queue.mark_done(job, job.report_key)
-                    obs.count("service.fleet_dedup_resolved")
+                self._resolve_from_store(job)
                 continue
             if job.report_key in inflight:
                 obs.count("service.fleet_dedup_suppressed")
@@ -178,10 +168,9 @@ class FleetCoordinator:
             if owner is not None and owner != worker_id:
                 continue  # reserved for its consistent-hash owner
             claimed = self.queue.claim_job(job.id, worker=worker_id,
-                                           lease_seconds=lease)
+                                           lease_seconds=self.lease_seconds)
             if claimed is None:
                 continue  # raced by a concurrent pull; keep scanning
-            info.active_job = claimed.id
             obs.count("service.fleet_pulls", worker=worker_id)
             self._publish(claimed.id, "job.leased", worker=worker_id,
                           attempts=claimed.attempts)
@@ -212,11 +201,6 @@ class FleetCoordinator:
     def expire(self) -> list[Job]:
         """Requeue expired leases; called periodically by the daemon."""
         expired = self.queue.expire_leases()
-        with self._lock:
-            for job in expired:
-                for info in self.workers.values():
-                    if info.active_job == job.id:
-                        info.active_job = None
         for job in expired:
             obs.count("service.fleet_lease_expiries")
             self._publish(job.id, "job.lease_expired",
@@ -227,7 +211,7 @@ class FleetCoordinator:
     # Completion
     # ------------------------------------------------------------------
     def complete(self, worker_id: str, job_id: str, identity: dict,
-                 report_encoded: dict, trace_batch: dict | None,
+                 report: dict, trace_batch: dict | None,
                  snapshot: dict | None = None) -> dict:
         """Accept a pushed result: store the report, stitch the trace,
         resolve the job (and any queued duplicates of its key).
@@ -250,61 +234,87 @@ class FleetCoordinator:
                      f"report key {key[:12]}… but the job was submitted "
                      f"under {job.report_key[:12]}… — fleet nodes are "
                      "running skewed code")
-            self._publish(job.id, "job.failed", error=error)
-            self.queue.mark_failed(job, error)
+            self._fail_for_good(job, worker_id, error, trace_batch)
             obs.count("service.fleet_identity_mismatches")
             raise ValueError(error)
         stale = not (job.state == RUNNING and job.worker == worker_id)
-        report = decode_tree(report_encoded)
         if not self.store.contains(key):
             self.store.put(identity, report, job_id=job_id)
-        if trace_batch and self.store.get_trace(job_id) is None:
-            self.store.put_trace(
-                job_id, stitch_trace(job, worker_id, trace_batch))
+        self._store_trace(job, worker_id, trace_batch)
         if stale:
-            # The lease was lost and the job redelivered (or already
-            # resolved).  The pushed bytes are identical to whatever
-            # the winning execution stored, so nothing is lost — but
-            # count it: stale completions mean leases are too short.
+            # The lease was lost (count it: stale completions mean
+            # leases are too short), but the bytes are banked.  A
+            # requeued job resolves now, its final snapshot first,
+            # instead of waiting for a pull that may never come.
             obs.count("service.fleet_stale_completions")
+            if job.state == SUBMITTED:
+                self._resolve_from_store(job, snapshot, worker_id)
+            self._resolve_duplicates(key)
             return {"job": job.to_json(), "stale": True}
-        # Publish before mark_done: an /events long-poll that observes
-        # the terminal state must already see the terminal event.
-        if snapshot is not None:
-            self._publish(job.id, "stream.snapshot", worker=worker_id,
-                          **snapshot)
-        self._publish(job.id, "job.done", report_key=key,
-                      worker=worker_id)
-        self.queue.mark_done(job, key)
+        self._finish(job, snapshot, worker_id, worker=worker_id)
         with self._lock:
             info.jobs_completed += 1
-            if info.active_job == job_id:
-                info.active_job = None
         obs.count("service.jobs_completed", result="done")
         obs.count("service.fleet_completions", worker=worker_id)
-        self._resolve_duplicates(key, job.id)
+        self._resolve_duplicates(key)
         return {"job": job.to_json(), "stale": False}
 
-    def _resolve_duplicates(self, key: str, done_job_id: str) -> None:
+    def _resolve_duplicates(self, key: str) -> None:
         """Mark queued submissions of an already-stored key done."""
         for other in self.queue.jobs_in_state(SUBMITTED):
             if other.report_key == key:
-                if self.queue.claim_job(other.id) is not None:
-                    self._publish(other.id, "job.done", report_key=key,
-                                  served_from="store")
-                    self.queue.mark_done(other, key)
-                    obs.count("service.fleet_dedup_resolved")
+                self._resolve_from_store(other)
 
-    def fail(self, worker_id: str, job_id: str, error: str) -> dict:
-        """Record a worker-side failure; redeliver or fail the job."""
+    def _resolve_from_store(self, job: Job, snapshot: dict | None = None,
+                            worker_id: str | None = None) -> None:
+        """Mark one queued job done from the store, observably."""
+        if self.queue.claim_job(job.id) is not None:  # else a pull won
+            self._finish(job, snapshot, worker_id, served_from="store")
+            obs.count("service.fleet_dedup_resolved")
+
+    def _finish(self, job: Job, snapshot: dict | None, worker_id: str | None,
+                **done) -> None:
+        """Relay the final snapshot, publish ``job.done``, mark the job
+        done — in that order: an ``/events`` long-poll that observes
+        the terminal state must already see the terminal event."""
+        if snapshot is not None:
+            self._publish(job.id, "stream.snapshot", worker=worker_id,
+                          **snapshot)
+        self._publish(job.id, "job.done", report_key=job.report_key, **done)
+        self.queue.mark_done(job, job.report_key)
+
+    def _store_trace(self, job: Job, worker_id: str,
+                     trace_batch: dict | None) -> str | None:
+        """Stitch and store a pushed span batch (the first one stored
+        wins); returns the batch's trace id."""
+        if not trace_batch:
+            return None
+        if self.store.get_trace(job.id) is None:
+            self.store.put_trace(
+                job.id, stitch_trace(job, worker_id, trace_batch))
+        return trace_batch.get("trace_id")
+
+    def _fail_for_good(self, job: Job, worker_id: str, error: str,
+                       trace_batch: dict | None) -> None:
+        # Trace and terminal event (which triggers the flight dump)
+        # land before the transition makes the failure observable.
+        trace_id = self._store_trace(job, worker_id, trace_batch)
+        self._publish(job.id, "job.failed", worker=worker_id, error=error,
+                      trace_id=trace_id)
+        self.queue.mark_failed(job, error)
+
+    def fail(self, worker_id: str, job_id: str, error: str,
+             trace_batch: dict | None = None) -> dict:
+        """Record a worker-side failure; redeliver or fail the job.
+
+        ``trace_batch`` is the failed attempt's span batch, stored when
+        the failure is final."""
         info = self.touch(worker_id)
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(f"no such job: {job_id}")
         with self._lock:
             info.jobs_failed += 1
-            if info.active_job == job_id:
-                info.active_job = None
         if job.state != RUNNING or job.worker != worker_id:
             obs.count("service.fleet_stale_completions")
             return {"job": job.to_json(), "stale": True}
@@ -314,9 +324,7 @@ class FleetCoordinator:
             self._publish(job.id, "job.requeued", worker=worker_id,
                           error=error, attempts=job.attempts)
         else:
-            self._publish(job.id, "job.failed", worker=worker_id,
-                          error=error)
-            self.queue.mark_failed(job, error)
+            self._fail_for_good(job, worker_id, error, trace_batch)
             obs.count("service.jobs_completed", result="failed")
         return {"job": job.to_json(), "stale": False}
 

@@ -5,7 +5,8 @@ The worker is a *client* of the coordinator — same HTTP/JSON protocol,
 same :class:`~repro.service.client.ServiceClient` (so it inherits the
 client's backoff-and-retry behaviour for free) — and owns nothing
 durable except its stage cache: all queue and store state lives with
-the coordinator.
+the coordinator.  ``diogenes serve --workers N`` runs the same node
+in-process, N slots wide, over a :class:`LocalLink` instead of HTTP.
 
 Per job:
 
@@ -13,9 +14,11 @@ Per job:
 2. a daemon thread heartbeats every ``lease/3`` seconds so the lease
    outlives any honest execution;
 3. the job runs through this node's own
-   :class:`repro.exec.StageExecutor` under a ``fleet.worker.job`` span;
-4. the report (columnar-encoded) plus the finished span batch go home
-   via ``POST /fleet/complete``; failures go via ``POST /fleet/fail``.
+   :class:`repro.exec.StageExecutor` under a ``fleet.worker.job`` span,
+   inside a per-job :func:`~repro.instr.stacks.interning_scope`;
+4. the report plus the finished span batch go home via
+   ``POST /fleet/complete``; failures (with their span batch) go via
+   ``POST /fleet/fail``.
 
 The worker re-derives the report identity from *its own* code tree
 and ships it with the result; the coordinator refuses a mismatch, so
@@ -38,9 +41,10 @@ import threading
 import repro.obs as obs
 from repro.core.diogenes import report_from_stage_results
 from repro.exec import StageExecutor
-from repro.exec.columnar import encode_tree
 from repro.exec.fingerprint import config_from_json
 from repro.exec.jobs import WorkloadSpec
+from repro.fleet.coordinator import StaleLeaseError
+from repro.instr.stacks import interning_scope
 from repro.obs.tracer import Tracer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import report_identity
@@ -52,44 +56,89 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
+class LocalLink:
+    """The fleet protocol as direct calls into a coordinator.
+
+    The ``fleet_*`` calls of :class:`ServiceClient` with their HTTP
+    error statuses, minus the wire: no JSON and no report codec (the
+    ``/fleet/*`` routes are JSON shims over a link).  ``publish`` puts
+    a node's live events — ``job.running``, ``stage.*``, every rolling
+    ``stream.snapshot`` — straight into the home ``/events`` stream.
+    """
+
+    def __init__(self, fleet, publish) -> None:
+        self.fleet = fleet
+        self.publish = publish
+
+    @staticmethod
+    def _call(method, *args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except KeyError as exc:
+            raise ServiceError(str(exc.args[0]), status=404) from exc
+        except (StaleLeaseError, ValueError) as exc:
+            raise ServiceError(str(exc), status=409) from exc
+        except Exception as exc:  # noqa: BLE001 - a server's 500
+            raise ServiceError(f"{type(exc).__name__}: {exc}",
+                               status=500) from exc
+
+    def fleet_register(self, worker: str) -> dict:
+        return self._call(self.fleet.register, worker)
+
+    def fleet_pull(self, worker: str) -> dict | None:
+        job = self._call(self.fleet.pull, worker)
+        return None if job is None else job.to_json()
+
+    def fleet_heartbeat(self, worker: str, job_id: str,
+                        snapshot: dict | None = None) -> dict:
+        return self._call(self.fleet.heartbeat, worker, job_id,
+                          snapshot=snapshot).to_json()
+
+    def fleet_complete(self, worker: str, job_id: str, identity: dict,
+                       report: dict, trace: dict | None = None,
+                       snapshot: dict | None = None) -> dict:
+        return self._call(self.fleet.complete, worker, job_id, identity,
+                          report, trace, snapshot=snapshot)
+
+    def fleet_fail(self, worker: str, job_id: str, error: str,
+                   trace: dict | None = None) -> dict:
+        return self._call(self.fleet.fail, worker, job_id, error, trace)
+
+
 class WorkerNode:
-    """One fleet worker process attached to a coordinator URL."""
+    """One fleet worker node attached to a coordinator.
+
+    ``coordinator`` is the coordinator's URL, or a :class:`LocalLink`
+    for the daemon's in-process node.  :meth:`process` is safe to call
+    from several threads at once (one per slot): its per-job state
+    lives in the call.
+    """
 
     #: First empty-pull backoff (seconds); doubles per consecutive
     #: empty pull up to ``poll_interval``.
     MIN_POLL_INTERVAL = 0.01
 
-    def __init__(self, coordinator_url: str, *, worker_id: str | None = None,
+    def __init__(self, coordinator, *, worker_id: str | None = None,
                  jobs: int = 1, cache_dir: str | os.PathLike | None = None,
                  use_cache: bool = True, poll_interval: float = 0.2,
-                 reset_intern_tables: bool = True, on_event=None) -> None:
+                 on_event=None) -> None:
         self.worker_id = worker_id or default_worker_id()
-        self.client = ServiceClient(coordinator_url)
+        self.client = (ServiceClient(coordinator)
+                       if isinstance(coordinator, str) else coordinator)
         self.executor = StageExecutor(jobs=jobs, cache_dir=cache_dir,
                                       use_cache=use_cache)
         self.poll_interval = poll_interval
-        self.reset_intern_tables = reset_intern_tables
         #: Lease duration, learned from the coordinator at register time.
         self.lease_seconds: float = 30.0
+        #: Jobs :meth:`run` executed and pushed home.
         self.jobs_completed = 0
-        self.jobs_failed = 0
         self._stop = threading.Event()
         self._on_event = on_event or (lambda name, **fields: None)
-        #: Latest rolling snapshot from the in-flight job, written by
-        #: the executing thread and read by the heartbeat thread, which
-        #: relays each unseen version home with the lease renewal.
-        self._snap_lock = threading.Lock()
-        self._latest_snapshot: dict | None = None
-        self._sent_snapshot_version = 0
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
         """Request a graceful drain: finish the in-flight job, exit."""
         self._stop.set()
-
-    @property
-    def stopping(self) -> bool:
-        return self._stop.is_set()
 
     # ------------------------------------------------------------------
     def register(self) -> dict:
@@ -132,35 +181,15 @@ class WorkerNode:
                     idle_wait = min(idle_wait * 2, self.poll_interval)
                     continue
                 idle_wait = self.MIN_POLL_INTERVAL
-                self.process(job)
+                # Counted here, on the loop's one thread: process() may
+                # run on several slot threads at once.
+                self.jobs_completed += self.process(job)
                 executed += 1
-                if self.reset_intern_tables:
-                    self._reset_intern_tables()
         finally:
             self.executor.shutdown()
             self._on_event("worker.stopped", worker=self.worker_id,
                            executed=executed)
         return executed
-
-    def _reset_intern_tables(self) -> None:
-        """Drop the process-wide intern tables between jobs.
-
-        The stack interner, frame cache, and symbol caches grow with
-        every distinct key ever seen; a long-lived worker crossing many
-        workloads would otherwise grow them without bound.  Between
-        jobs is the one quiescent point where the reset is safe: the
-        finished job's report has been serialized and pushed, so no
-        live consumer still holds interned objects whose identity
-        matters.  Table sizes are published as gauges before and after
-        so ``/metrics`` can show both growth and reclamation.
-        """
-        from repro.instr.stacks import reset_intern_tables
-
-        obs.record_intern_tables()
-        sizes = reset_intern_tables()
-        obs.record_intern_tables()
-        self._on_event("worker.intern_tables_reset", worker=self.worker_id,
-                       **sizes)
 
     # ------------------------------------------------------------------
     def process(self, job: dict) -> bool:
@@ -170,56 +199,75 @@ class WorkerNode:
         coordinator acknowledged it as stale), ``False`` on failure.
         """
         job_id = job["id"]
-        with self._snap_lock:
-            self._latest_snapshot = None
-            self._sent_snapshot_version = 0
+        # An in-process link publishes live events home directly; over
+        # HTTP the heartbeat thread relays the latest rolling snapshot.
+        live = getattr(self.client, "publish", None)
+        rolling: dict = {}
+
+        def on_snapshot(snapshot: dict) -> None:
+            if snapshot["final"]:
+                return  # rides the completion push
+            if live is not None:
+                live(job_id, "stream.snapshot", worker=self.worker_id,
+                     **snapshot)
+            else:
+                rolling["snapshot"] = snapshot
+
         stop_heartbeat = threading.Event()
         beats = threading.Thread(
-            target=self._heartbeat_loop, args=(job_id, stop_heartbeat),
+            target=self._heartbeat_loop,
+            args=(job_id, stop_heartbeat, rolling),
             name=f"heartbeat-{job_id}", daemon=True)
         beats.start()
         tracer = Tracer()
         self._on_event("worker.job_started", job=job_id,
                        workload=job["workload"])
+        on_stage = None
+        if live is not None:
+            live(job_id, "job.running", trace_id=tracer.trace_id,
+                 workload=job["workload"])
+            on_stage = lambda e: live(job_id, e.pop("event"), **e)  # noqa: E731
         try:
-            config = config_from_json(job["config"])
-            spec = WorkloadSpec.from_params(job["workload"], job["params"])
-            identity = report_identity(spec, config)
-            # Rolling snapshots land in _latest_snapshot; the heartbeat
-            # thread relays them to the coordinator.  With jobs=1 the
-            # stages run inline on this thread, so the thread-scoped
-            # subscription tails the live builders; with a process pool
-            # only the final snapshot (from report assembly) exists.
-            analyzer = StreamAnalyzer(
-                misplaced_min_delay=config.misplaced_min_delay,
-                benefit_config=config.benefit,
-                publish=self._store_snapshot)
-            with tracer.span("fleet.worker.job", job=job_id,
-                             workload=job["workload"],
-                             worker=self.worker_id), subscribed(analyzer):
-                results = self.executor.run_workloads(
-                    [spec], config, tracer=tracer)[spec]
-                report = report_from_stage_results(
-                    getattr(spec.create(), "name", spec.name), results,
-                    config)
+            # Everything interned while the job runs is dropped with
+            # the scope; the report leaves it as plain JSON.
+            with interning_scope():
+                config = config_from_json(job["config"])
+                spec = WorkloadSpec.from_params(job["workload"],
+                                                job["params"])
+                identity = report_identity(spec, config)
+                # With jobs=1 the stages run inline on this thread, so
+                # the thread-scoped subscription tails the live
+                # builders; with a process pool only the final snapshot
+                # (from report assembly) exists.
+                analyzer = StreamAnalyzer(
+                    misplaced_min_delay=config.misplaced_min_delay,
+                    benefit_config=config.benefit, publish=on_snapshot)
+                with tracer.span("fleet.worker.job", job=job_id,
+                                 workload=job["workload"],
+                                 worker=self.worker_id), \
+                        subscribed(analyzer):
+                    results = self.executor.run_workloads(
+                        [spec], config, tracer=tracer,
+                        on_event=on_stage)[spec]
+                    report = report_from_stage_results(
+                        getattr(spec.create(), "name", spec.name),
+                        results, config).to_json()
         except Exception as exc:  # noqa: BLE001 - any failure fails the job
             stop_heartbeat.set()
             beats.join()
-            self.jobs_failed += 1
             error = f"{type(exc).__name__}: {exc}"
             self._on_event("worker.job_failed", job=job_id, error=error)
             self._push(lambda: self.client.fleet_fail(
-                self.worker_id, job_id, error), job_id)
+                self.worker_id, job_id, error,
+                tracer.export_batch(pid=os.getpid())), job_id)
             return False
         stop_heartbeat.set()
         beats.join()
         pushed = self._push(lambda: self.client.fleet_complete(
-            self.worker_id, job_id, dict(identity),
-            encode_tree(report.to_json()),
+            self.worker_id, job_id, dict(identity), report,
             tracer.export_batch(pid=os.getpid()),
             snapshot=analyzer.final), job_id)
         if pushed:
-            self.jobs_completed += 1
             self._on_event("worker.job_completed", job=job_id)
         return pushed
 
@@ -236,23 +284,23 @@ class WorkerNode:
             obs.count("fleet.worker_push_failures")
             return False
 
-    def _heartbeat_loop(self, job_id: str,
-                        stop: threading.Event) -> None:
-        """Extend the lease every ``lease/3`` seconds while executing.
+    def _heartbeat_loop(self, job_id: str, stop: threading.Event,
+                        rolling: dict) -> None:
+        """Extend the lease every ``lease/3`` seconds while executing,
+        relaying the job's latest unsent rolling snapshot, if any.
 
         A failed heartbeat (coordinator briefly down, or the lease
         already lost) never interrupts the execution: the completion
         push is idempotent and the coordinator resolves staleness.
         """
         interval = max(0.05, self.lease_seconds / 3.0)
+        sent_version = 0
         while not stop.wait(interval):
-            with self._snap_lock:
-                snapshot = self._latest_snapshot
-                if snapshot is not None \
-                        and snapshot["version"] <= self._sent_snapshot_version:
-                    snapshot = None  # already relayed this version
-                elif snapshot is not None:
-                    self._sent_snapshot_version = snapshot["version"]
+            snapshot = rolling.get("snapshot")
+            if snapshot is not None and snapshot["version"] <= sent_version:
+                snapshot = None  # already relayed this version
+            elif snapshot is not None:
+                sent_version = snapshot["version"]
             try:
                 self.client.fleet_heartbeat(self.worker_id, job_id,
                                             snapshot=snapshot)
@@ -261,7 +309,3 @@ class WorkerNode:
                                error=str(exc))
                 if exc.status == 409:
                     return  # lease gone for good; stop renewing
-
-    def _store_snapshot(self, snapshot: dict) -> None:
-        with self._snap_lock:
-            self._latest_snapshot = snapshot

@@ -15,18 +15,20 @@ Two stack-trace identities matter for grouping (§3.5.2):
 * function identity (:meth:`StackTrace.function_key`) — frames
   matched by demangled base name → the *folded function* grouping.
 
-Both identities are *interned*: a process-wide :class:`StackInterner`
-issues a small integer ID per distinct key, so the hot grouping and
+Both identities are *interned*: a :class:`StackInterner` issues a
+small integer ID per distinct key, so the hot grouping and
 sequence-signature paths compare ints instead of rebuilding and
 hashing tuples (see docs/performance.md).  Frames and snapshots are
-interned too — the same call site yields the same ``Frame`` object,
-and an unchanged stack yields the same ``StackTrace`` object — which
-makes every derived value (address, base name, keys, IDs) a
-compute-once attribute.
+interned too — the same call site yields an equal, usually identical
+``Frame``, and an unchanged stack yields the same ``StackTrace``
+object — which makes every derived value (address, base name, keys,
+IDs) a compute-once attribute.  Service jobs intern inside an
+:func:`interning_scope`, dropped when the job ends.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,12 +72,13 @@ class Frame:
         return f"{self.function} at {self.file}:{self.line}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def intern_frame(function: str, file: str, line: int) -> Frame:
     """The canonical :class:`Frame` for a call site.
 
-    Bounded by the number of distinct source annotations in the
-    process, like the symbol caches it amortises.
+    Capped like the symbol caches it amortises.  An evicted site gets a
+    new, equal ``Frame`` on its next use; frames compare and hash by
+    value, so snapshots and keys are unaffected.
     """
     return Frame(function, file, line)
 
@@ -124,7 +127,7 @@ class StackTrace:
         try:
             return self._address_id
         except AttributeError:
-            sid = _INTERNER.address_id(self.address_key())
+            sid = _interner().address_id(self.address_key())
             object.__setattr__(self, "_address_id", sid)
             return sid
 
@@ -133,7 +136,7 @@ class StackTrace:
         try:
             return self._function_id
         except AttributeError:
-            sid = _INTERNER.function_id(self.function_key())
+            sid = _interner().function_id(self.function_key())
             object.__setattr__(self, "_function_id", sid)
             return sid
 
@@ -144,11 +147,11 @@ class StackTrace:
 
 
 class StackInterner:
-    """Issues process-local integer IDs for stack identities.
+    """Issues integer IDs for stack identities.
 
     One dict lookup replaces rebuilding an O(depth) tuple and hashing
-    it on every comparison.  IDs are deterministic *per process* (issue
-    order is first-seen order) but carry no cross-process meaning —
+    it on every comparison.  IDs are deterministic *per interner*
+    (issue order is first-seen order) but carry no meaning outside it —
     reports and cache payloads always serialize the underlying tuples.
     """
 
@@ -178,19 +181,49 @@ class StackInterner:
             snap = self._snapshots[frames] = StackTrace(frames)
         return snap
 
-    def clear(self) -> None:  # pragma: no cover - test hygiene hook
-        self._address_ids.clear()
-        self._function_ids.clear()
-        self._snapshots.clear()
 
-
-#: The process-wide interner every snapshot goes through.
+#: The process-wide interner, used outside any :func:`interning_scope`.
 _INTERNER = StackInterner()
+
+#: Per-thread scoped override (see :func:`interning_scope`).
+_SCOPED = threading.local()
+
+#: The interners of every scope currently open, on any thread.
+_LIVE: set[StackInterner] = set()
+_LIVE_LOCK = threading.Lock()
+
+
+def _interner() -> StackInterner:
+    """The calling thread's scoped interner, else the process-wide one."""
+    return getattr(_SCOPED, "interner", None) or _INTERNER
+
+
+@contextmanager
+def interning_scope():
+    """Give the calling thread a fresh :class:`StackInterner` until exit.
+
+    Snapshots and IDs issued inside live in the scope's own tables,
+    dropped on exit, so a process running any number of jobs, several
+    at once, stays bounded with no quiescent moment to wait for.  The
+    override is thread-local (the ``repro.obs`` scoped-session
+    pattern): one job's IDs never meet another's.
+    """
+    interner = StackInterner()
+    previous = getattr(_SCOPED, "interner", None)
+    _SCOPED.interner = interner
+    with _LIVE_LOCK:
+        _LIVE.add(interner)
+    try:
+        yield interner
+    finally:
+        _SCOPED.interner = previous
+        with _LIVE_LOCK:
+            _LIVE.discard(interner)
 
 
 def intern_stack(frames: tuple[Frame, ...]) -> StackTrace:
     """Canonical snapshot for ``frames`` (module-level convenience)."""
-    return _INTERNER.stack(frames)
+    return _interner().stack(frames)
 
 
 def address_id_for(address_key: tuple[int, ...]) -> int:
@@ -202,7 +235,7 @@ def address_id_for(address_key: tuple[int, ...]) -> int:
     analysis (:mod:`repro.exec.table`) uses this to turn site identity
     into integer arrays.
     """
-    return _INTERNER.address_id(address_key)
+    return _interner().address_id(address_key)
 
 
 class CallStackTracker:
@@ -262,7 +295,7 @@ class CallStackTracker:
         build + hash.
         """
         if self._snap_generation != self.generation:
-            self._snapshot = _INTERNER.stack(tuple(self._frames))
+            self._snapshot = _interner().stack(tuple(self._frames))
             self._snap_generation = self.generation
         return self._snapshot
 
@@ -272,42 +305,23 @@ class CallStackTracker:
 
 
 # ----------------------------------------------------------------------
-# Intern-table bounding
+# Intern-table accounting
 # ----------------------------------------------------------------------
 def intern_table_sizes() -> dict[str, int]:
-    """Current entry counts of every process-wide intern/cache table.
+    """Current entry counts of every intern/cache table.
 
-    The fleet daemon exposes these as ``instr.intern_table_size``
-    gauges on ``/metrics``; worker nodes read them before each per-job
-    reset so growth between jobs stays observable.
+    The frame and symbol caches are process-wide and capped; the stack
+    tables count the process-wide interner plus every open
+    :func:`interning_scope`.  The service exposes these as
+    ``instr.intern_entries`` gauges on ``/metrics``.
     """
+    with _LIVE_LOCK:
+        interners = [_INTERNER, *_LIVE]
     return {
         "frames": intern_frame.cache_info().currsize,
-        "snapshots": len(_INTERNER._snapshots),
-        "address_keys": len(_INTERNER._address_ids),
-        "function_keys": len(_INTERNER._function_ids),
+        "snapshots": sum(len(i._snapshots) for i in interners),
+        "address_keys": sum(len(i._address_ids) for i in interners),
+        "function_keys": sum(len(i._function_ids) for i in interners),
         "instruction_addresses": instruction_address.cache_info().currsize,
         "demangled_names": demangle_base_name.cache_info().currsize,
     }
-
-
-def reset_intern_tables() -> dict[str, int]:
-    """Drop all process-wide intern state; returns the sizes it freed.
-
-    The intern tables grow monotonically with every distinct call site
-    a process ever sees — fine for one tool run, unbounded for a
-    long-lived worker chewing through unrelated jobs.  The fleet worker
-    loop calls this between jobs.
-
-    Only safe at a quiescent point: live :class:`StackTrace` objects
-    captured *before* the reset keep their cached ``_address_id``,
-    which may collide with ids issued after — so callers must drop
-    every reference to prior stage data first (the worker loop resets
-    only after the job's report has been serialized and pushed).
-    """
-    sizes = intern_table_sizes()
-    _INTERNER.clear()
-    intern_frame.cache_clear()
-    instruction_address.cache_clear()
-    demangle_base_name.cache_clear()
-    return sizes

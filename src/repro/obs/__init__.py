@@ -284,13 +284,12 @@ def record_collection(stage: str, events: int,
 
 
 def record_intern_tables() -> None:
-    """Publish the process-wide intern-table sizes as gauges.
+    """Publish the intern-table sizes as gauges.
 
-    The interner, frame cache, and symbol caches grow monotonically
-    with distinct keys seen; these gauges (``instr.intern_entries``,
-    labelled by table) let a long-lived worker alert on unbounded
-    growth and verify that per-job resets actually shrink the tables.
-    No-op when off.
+    ``instr.intern_entries``, labelled by table: the capped frame and
+    symbol caches, and the stack tables of the process-wide interner
+    plus every job's open interning scope — so a long-lived service
+    can show that its tables stay bounded across jobs.  No-op when off.
     """
     o = active()
     if o is None:

@@ -15,11 +15,11 @@ daemon instead of one-shot CLI invocations:
 * :mod:`repro.service.sqlite` — sqlite/WAL implementations of both
   (``diogenes serve --backend sqlite``);
 * :mod:`repro.service.daemon` — the asyncio HTTP/JSON server
-  (``diogenes serve``) running submissions through the
-  :class:`repro.exec.StageExecutor` on a bounded worker pool, serving
-  the fleet protocol to ``diogenes worker`` nodes
-  (:mod:`repro.fleet`), applying ``--max-queue`` backpressure, plus
-  ``/metrics`` Prometheus exposition;
+  (``diogenes serve``) running submissions on fleet nodes
+  (:mod:`repro.fleet`) — its own in-process one, ``--workers`` slots
+  wide, and any ``diogenes worker`` it serves the protocol to —
+  applying ``--max-queue`` backpressure, plus ``/metrics``
+  Prometheus exposition;
 * :mod:`repro.service.client` — the stdlib urllib client behind the
   ``submit`` / ``status`` / ``fetch`` / ``diff`` CLI subcommands and
   the worker loop, with jittered exponential backoff on connection

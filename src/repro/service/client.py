@@ -29,6 +29,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 
+from repro.exec.columnar import encode_tree
 from repro.service.queue import DONE, FAILED
 
 #: Transient-failure retry schedule (attempt n sleeps up to
@@ -266,20 +267,24 @@ class ServiceClient:
     def fleet_complete(self, worker: str, job_id: str, identity: dict,
                        report: dict, trace: dict | None = None,
                        snapshot: dict | None = None) -> dict:
-        """Push a finished job home: identity + columnar report + spans.
+        """Push a finished job home: identity + report (columnar-encoded
+        on the wire) + spans.
 
         ``snapshot`` optionally carries the final streaming snapshot,
         relayed to the job's ``/events`` stream ahead of ``job.done``.
         """
         body = {"worker": worker, "job": job_id, "identity": identity,
-                "report": report, "trace": trace}
+                "report": encode_tree(report), "trace": trace}
         if snapshot is not None:
             body["snapshot"] = snapshot
         return self._request("POST", "/fleet/complete", body)
 
-    def fleet_fail(self, worker: str, job_id: str, error: str) -> dict:
+    def fleet_fail(self, worker: str, job_id: str, error: str,
+                   trace: dict | None = None) -> dict:
+        """Report a failed attempt and its spans (kept if final)."""
         return self._request("POST", "/fleet/fail", {
-            "worker": worker, "job": job_id, "error": error})
+            "worker": worker, "job": job_id, "error": error,
+            "trace": trace})
 
     def fleet_workers(self) -> dict:
         return self._request("GET", "/fleet/workers")

@@ -2,14 +2,19 @@
 pipeline.
 
 ``diogenes serve`` turns the one-shot CLI into a persistent service:
-clients submit (workload, params, config) tuples, a bounded worker
-pool runs them through the existing :class:`repro.exec.StageExecutor`
-(and its content-addressed stage cache), and every finished
+clients submit (workload, params, config) tuples, fleet nodes run
+them through the existing :class:`repro.exec.StageExecutor` (and its
+content-addressed stage cache), and every finished
 :class:`~repro.core.diogenes.DiogenesReport` lands in the
 :class:`~repro.service.store.ReportStore` keyed by (workload
 fingerprint, config digest, code fingerprint).  A re-submission of an
 unchanged workload is answered from the store without executing a
 single stage job — the feed-forward loop, as a service.
+
+``--workers N`` runs one of those nodes in-process, N slots wide: it
+claims, leases, and completes through the same
+:class:`~repro.fleet.FleetCoordinator` calls a remote ``diogenes
+worker`` makes over HTTP, so every job takes one execution path.
 
 Everything is standard library: the HTTP layer is a deliberately
 small HTTP/1.1 subset over ``asyncio`` streams (JSON in, JSON out,
@@ -41,7 +46,7 @@ Fleet routes (coordinator side of :mod:`repro.fleet`)::
     POST /fleet/pull          {"worker"} -> oldest eligible job, leased
     POST /fleet/heartbeat     {"worker", "job"} -> lease extended (409 if lost)
     POST /fleet/complete      {"worker", "job", "identity", "report", "trace"}
-    POST /fleet/fail          {"worker", "job", "error"}
+    POST /fleet/fail          {"worker", "job", "error", "trace"?}
     GET  /fleet/workers       registered workers + liveness
 
 Backpressure: with ``--max-queue N``, ``/submit`` answers **429** with
@@ -52,18 +57,17 @@ drains gracefully — in-flight jobs finish, queue state is already
 persisted per transition, and the process exits 0.
 
 Each executed job runs under its own per-job tracer (thread-confined,
-so concurrent worker threads never share span stacks): the daemon
-opens a ``service.job`` request span carrying the job id, hands the
-tracer to the stage executor — which propagates trace context into
-pool workers and stitches their spans back — and persists the finished
-tree beside the report store, keyed by job id.  On failure the event
-ring is dumped to ``<data-dir>/flight/<job-id>.jsonl`` (the flight
-recorder).
+so concurrent slots never share span stacks) rooted at the node's
+``fleet.worker.job`` span; the coordinator stitches the finished batch
+under a ``service.job`` request span carrying the job id and persists
+the tree beside the report store, keyed by job id.  On any final
+``job.failed`` the event ring is dumped to
+``<data-dir>/flight/<job-id>.jsonl`` (the flight recorder).
 
 Crash safety: the job queue is persistent (`repro.service.queue`);
-jobs found ``running`` at startup are requeued and re-executed, which
-is safe because execution is deterministic and both stores are
-content-addressed and atomic.
+a job whose lease expires — its node died, this daemon's included —
+is requeued and re-executed, which is safe because execution is
+deterministic and both stores are content-addressed and atomic.
 """
 
 from __future__ import annotations
@@ -78,19 +82,19 @@ import urllib.parse
 
 import repro.obs as obs
 from repro.core.diffing import SchemaMismatchError, diff_reports, diff_to_json
-from repro.core.diogenes import DiogenesConfig, report_from_stage_results
-from repro.exec import StageExecutor
+from repro.core.diogenes import DiogenesConfig
+from repro.exec.columnar import decode_tree
 from repro.exec.fingerprint import (
     config_from_json,
     config_to_json,
     digest_json,
 )
 from repro.exec.jobs import WorkloadSpec
-from repro.fleet.coordinator import FleetCoordinator, StaleLeaseError
-from repro.obs.tracer import Tracer
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.worker import LocalLink, WorkerNode
+from repro.service.client import ServiceError
 from repro.service.queue import DONE, FAILED, STATES, Job
 from repro.service.store import MappedBody, report_identity
-from repro.stream import StreamAnalyzer, subscribed
 
 #: Events retained per job for the ``/events`` stream.
 _EVENTS_PER_JOB = 1000
@@ -123,9 +127,10 @@ class ServiceDaemon:
     ``data_dir`` holds everything the daemon persists: the job queue
     (``queue/``), the report store (``store/``), and — unless a
     different ``cache_dir`` is given — the stage-result cache
-    (``stage-cache/``).  ``workers`` bounds concurrently analysed
-    submissions; ``jobs`` is the process fan-out each analysis may use
-    (1 = inline in the worker thread).
+    (``stage-cache/``).  ``workers`` is the slot count of the
+    in-process fleet node (0: none, a pure coordinator); ``jobs`` is
+    the process fan-out each analysis may use (1 = inline in the slot
+    thread).
     """
 
     def __init__(self, data_dir: str | os.PathLike, *, workers: int = 2,
@@ -167,14 +172,20 @@ class ServiceDaemon:
         self._default_config_digest = digest_json(self._default_config_json)
         if cache_dir is None and use_cache:
             cache_dir = os.path.join(self.data_dir, "stage-cache")
-        self.executor = StageExecutor(jobs=jobs, cache_dir=cache_dir,
-                                      use_cache=use_cache)
+        #: Direct calls into the coordinator: the in-process node's
+        #: transport, and what the ``/fleet/*`` routes decode onto.
+        self.link = LocalLink(self.fleet, self._publish)
+        #: The node the ``workers`` slots share (one id, one executor).
+        self.node = WorkerNode(
+            self.link, jobs=jobs, cache_dir=cache_dir,
+            use_cache=use_cache) if workers else None
         self.session: obs.Observability | None = None
         #: Set once the server socket is bound (the ephemeral-port case).
         self.bound_port: int | None = None
         self.started = threading.Event()
         self._stop: asyncio.Event | None = None
-        self._wake: asyncio.Event | None = None
+        #: Set on submit (and requeue, shutdown) to wake idle slots.
+        self._wake = threading.Event()
         #: Per-job live event streams for ``/events`` (worker threads
         #: append under the lock; the asyncio side reads snapshots).
         self._events: dict[str, list[dict]] = {}
@@ -208,12 +219,15 @@ class ServiceDaemon:
     async def _serve(self, host: str, port: int) -> None:
         self.session = obs.enable()
         self._stop = asyncio.Event()
-        self._wake = asyncio.Event()
         self._install_signal_handlers()
         server = await asyncio.start_server(self._handle, host, port)
         self.bound_port = server.sockets[0].getsockname()[1]
-        worker_tasks = [asyncio.create_task(self._worker_loop())
-                        for _ in range(self.workers)]
+        if self.node is not None:
+            self.node.register()
+        slots = [threading.Thread(target=self._slot, name=f"slot-{i}")
+                 for i in range(self.workers)]
+        for slot in slots:
+            slot.start()
         sweep_task = asyncio.create_task(self._lease_sweep_loop())
         self._refresh_gauges()
         self.started.set()
@@ -221,11 +235,13 @@ class ServiceDaemon:
             async with server:
                 await self._stop.wait()
         finally:
-            self._wake.set()
-            await asyncio.gather(*worker_tasks, return_exceptions=True)
+            self._initiate_stop()
+            for slot in slots:
+                await asyncio.to_thread(slot.join)
             sweep_task.cancel()
             await asyncio.gather(sweep_task, return_exceptions=True)
-            self.executor.shutdown()
+            if self.node is not None:
+                self.node.executor.shutdown()
             self.queue.close()
             self.store.close()
             obs.disable()
@@ -247,8 +263,7 @@ class ServiceDaemon:
     def _initiate_stop(self) -> None:
         if self._stop is not None:
             self._stop.set()
-        if self._wake is not None:
-            self._wake.set()
+        self._wake.set()
 
     async def _lease_sweep_loop(self) -> None:
         """Return expired-lease jobs to ``submitted`` for redelivery."""
@@ -259,32 +274,37 @@ class ServiceDaemon:
                 return
             except (TimeoutError, asyncio.TimeoutError):
                 pass
-            expired = self.fleet.expire()
-            if expired:
-                self._refresh_gauges()
-                if self.workers:
-                    self._wake.set()  # local workers may pick them up
+            if self.fleet.expire() and self.workers:
+                self._wake.set()  # local slots may pick them up
 
-    async def _worker_loop(self) -> None:
-        """Claim → execute → persist, until shutdown."""
+    def _slot(self) -> None:
+        """One slot of the local node, on its own thread: claim and
+        execute jobs until shutdown.
+
+        The event loop never blocks on a claim's queue write, and every
+        job of the slot allocates on this one thread.  (Spread over a
+        shared pool's threads, jobs spread over as many malloc arenas,
+        and peak RSS grows with their count.)
+        """
         while not self._stop.is_set():
-            job = self.queue.claim_next()
+            # Cleared before the claim, so a submit landing during it is
+            # never slept through.
+            self._wake.clear()
+            self._ensure_obs()
+            job = self.fleet.pull(self.node.worker_id)
             if job is None:
-                self._wake.clear()
-                if self._stop.is_set():
-                    return
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=0.2)
-                except TimeoutError:
-                    pass
-                except asyncio.TimeoutError:  # pragma: no cover - py<3.11
-                    pass
-                continue
-            await asyncio.to_thread(self._execute, job)
-            self._refresh_gauges()
+                self._wake.wait(0.2)
+            else:
+                self._execute(job)
+
+    def _execute(self, job: Job) -> None:
+        """One slot's per-job step: the node executes and pushes home."""
+        self.node.process(job.to_json())
 
     def _publish(self, job_id: str, name: str, **fields) -> None:
-        """Append one event to a job's live stream (thread-safe)."""
+        """Append one event to a job's live stream (thread-safe); a
+        ``job.failed`` (always final) also dumps it to the flight
+        recorder, whichever node ran the job."""
         with self._events_lock:
             stream = self._events.setdefault(job_id, [])
             seq = self._event_seq.get(job_id, 0) + 1
@@ -299,6 +319,8 @@ class ServiceDaemon:
                 self._events_dropped[job_id] = (
                     self._events_dropped.get(job_id, 0) + dropped)
                 obs.count("service.events_dropped_total", dropped)
+        if name == "job.failed":
+            self._dump_flight(job_id, fields.get("trace_id"))
 
     def _job_events(self, job_id: str, after: int) -> list[dict]:
         with self._events_lock:
@@ -316,87 +338,14 @@ class ServiceDaemon:
                 })
             return events
 
-    def _execute(self, job: Job) -> None:
-        """Run one submission through the stage executor (worker thread).
-
-        Each job gets its *own* tracer — thread-confined, so concurrent
-        worker threads never interleave span stacks — rooted at a
-        ``service.job`` request span carrying the job id.  The executor
-        propagates that context into pool workers and stitches their
-        spans back; the finished tree persists under the job id for
-        ``/trace/<job-id>``.
-        """
-        self._ensure_obs()
-        tracer = Tracer()
-        self._publish(job.id, "job.running", trace_id=tracer.trace_id,
-                      workload=job.workload)
-        try:
-            config = config_from_json(job.config)
-            spec = WorkloadSpec.from_params(job.workload, job.params)
-            identity = report_identity(spec, config)
-            if self.store.contains(identity.key()):
-                # A duplicate raced us between submit and claim.
-                obs.count("service.store_hits")
-                self._publish(job.id, "job.done", report_key=identity.key(),
-                              served_from="store")
-                self.queue.mark_done(job, identity.key())
-                obs.count("service.jobs_completed", result="done")
-                return
-            # Rolling snapshots flow into the same per-job stream the
-            # stage events use.  With jobs=1 the executor runs stages
-            # inline on this thread, so the thread-scoped subscription
-            # reaches the live builders; with a process pool only the
-            # final snapshot (from report assembly) is published.
-            analyzer = StreamAnalyzer(
-                misplaced_min_delay=config.misplaced_min_delay,
-                benefit_config=config.benefit,
-                publish=lambda snap: self._publish(
-                    job.id, "stream.snapshot", **snap))
-            with tracer.span("service.job", job=job.id,
-                             workload=job.workload), subscribed(analyzer):
-                results = self.executor.run_workloads(
-                    [spec], config, tracer=tracer,
-                    on_event=lambda e: self._publish(job.id, e.pop("event"),
-                                                     **e))[spec]
-                report = report_from_stage_results(
-                    getattr(spec.create(), "name", spec.name), results,
-                    config)
-            key = self.store.put(identity, report.to_json(), job_id=job.id)
-            # Trace and terminal event land before mark_done: a client
-            # that polls the job to DONE must find the trace stored and
-            # the `job.done` event already published.
-            self._store_trace(job, tracer)
-            self._publish(job.id, "job.done", report_key=key)
-            self.queue.mark_done(job, key)
-            obs.count("service.jobs_completed", result="done")
-        except Exception as exc:  # noqa: BLE001 - any failure fails the job
-            # Everything a client may fetch on seeing FAILED — the
-            # trace, the final event, the flight dump — lands before
-            # the state transition makes the failure observable.
-            self._store_trace(job, tracer)
-            self._publish(job.id, "job.failed",
-                          error=f"{type(exc).__name__}: {exc}")
-            self._dump_flight(job, tracer)
-            self.queue.mark_failed(job, f"{type(exc).__name__}: {exc}")
-            obs.count("service.jobs_completed", result="failed")
-
-    def _store_trace(self, job: Job, tracer: Tracer) -> None:
-        if tracer.spans:
-            self.store.put_trace(job.id, {
-                "job_id": job.id,
-                "trace_id": tracer.trace_id,
-                "spans": [sp.to_json() for sp in tracer.spans],
-                "chrome_trace": tracer.to_chrome_trace(),
-            })
-
-    def _dump_flight(self, job: Job, tracer: Tracer) -> None:
-        """Flight recorder: preserve the job's last events on failure."""
+    def _dump_flight(self, job_id: str, trace_id: str | None) -> None:
+        """Flight recorder: preserve a failed job's last events."""
         flight_dir = os.path.join(self.data_dir, "flight")
         os.makedirs(flight_dir, exist_ok=True)
-        path = os.path.join(flight_dir, f"{job.id}.jsonl")
+        path = os.path.join(flight_dir, f"{job_id}.jsonl")
         with open(path, "w") as fp:
-            for event in self._job_events(job.id, 0):
-                fp.write(json.dumps({**event, "trace_id": tracer.trace_id},
+            for event in self._job_events(job_id, 0):
+                fp.write(json.dumps({**event, "trace_id": trace_id},
                                     sort_keys=True) + "\n")
 
     def _refresh_gauges(self) -> None:
@@ -405,9 +354,8 @@ class ServiceDaemon:
         for state in STATES:
             obs.gauge("service.jobs", counts[state], state=state)
         obs.gauge("service.store_reports", len(self.store))
-        # Intern-table sizes: the one process-wide unbounded structure.
-        # Scraping /metrics shows growth across jobs and the drop after
-        # a worker-loop reset (see WorkerNode._reset_intern_tables).
+        # Intern-table sizes: scraping /metrics between jobs shows the
+        # per-job interning scopes gone and the capped caches in bound.
         obs.record_intern_tables()
         self.fleet.refresh_gauges()
 
@@ -467,8 +415,8 @@ class ServiceDaemon:
             except _HttpError as exc:
                 status, payload = exc.status, {"error": str(exc)}
                 extra_headers = exc.headers
-            except StaleLeaseError as exc:
-                status, payload = 409, {"error": str(exc)}
+            except ServiceError as exc:
+                status, payload = exc.status, {"error": str(exc)}
             except SchemaMismatchError as exc:
                 status, payload = 409, {"error": str(exc)}
             except Exception as exc:  # noqa: BLE001 - never kill the server
@@ -622,51 +570,35 @@ class ServiceDaemon:
                                       f'"{name}" string field')
             return value
 
-        action = segments[1]
+        def optional(name: str) -> dict | None:
+            value = request.get(name)
+            return value if isinstance(value, dict) else None
+
+        action, link = segments[1], self.link
         if action == "register":
-            reply = self.fleet.register(field("worker"))
-            self._refresh_gauges()
-            return "fleet.register", 200, reply
+            return "fleet.register", 200, link.fleet_register(field("worker"))
         if action == "pull":
-            job = self.fleet.pull(field("worker"))
-            self._refresh_gauges()
-            return "fleet.pull", 200, {
-                "job": job.to_json() if job is not None else None}
+            return "fleet.pull", 200, {"job": link.fleet_pull(field("worker"))}
         if action == "heartbeat":
-            snapshot = request.get("snapshot")
-            job = self.fleet.heartbeat(
-                field("worker"), field("job"),
-                snapshot=snapshot if isinstance(snapshot, dict) else None)
-            return "fleet.heartbeat", 200, {"job": job.to_json()}
+            return "fleet.heartbeat", 200, {"job": link.fleet_heartbeat(
+                field("worker"), field("job"), snapshot=optional("snapshot"))}
         if action == "complete":
-            identity = request.get("identity")
-            report = request.get("report")
-            if not isinstance(identity, dict) or not isinstance(report, dict):
+            worker, job_id = field("worker"), field("job")
+            identity, report = optional("identity"), optional("report")
+            if identity is None or report is None:
                 raise _HttpError(400, 'fleet complete needs "identity" and '
                                       '"report" object fields')
-            # Store put + trace stitch do real work; keep the event
-            # loop responsive while they run.
-            try:
-                snapshot = request.get("snapshot")
-                reply = await asyncio.to_thread(
-                    self.fleet.complete, field("worker"), field("job"),
-                    identity, report, request.get("trace"),
-                    snapshot=snapshot if isinstance(snapshot, dict)
-                    else None)
-            except KeyError as exc:
-                raise _HttpError(404, str(exc.args[0]))
-            except ValueError as exc:
-                raise _HttpError(409, str(exc))
-            self._refresh_gauges()
+            # Decode, store put and trace stitch do real work; keep the
+            # event loop responsive while they run.
+            reply = await asyncio.to_thread(lambda: link.fleet_complete(
+                worker, job_id, identity, decode_tree(report),
+                optional("trace"), snapshot=optional("snapshot")))
             self._wake.set()
             return "fleet.complete", 200, reply
         if action == "fail":
-            try:
-                reply = self.fleet.fail(field("worker"), field("job"),
-                                        request.get("error") or "unknown")
-            except KeyError as exc:
-                raise _HttpError(404, str(exc.args[0]))
-            self._refresh_gauges()
+            reply = await asyncio.to_thread(
+                link.fleet_fail, field("worker"), field("job"),
+                request.get("error") or "unknown", optional("trace"))
             self._wake.set()
             return "fleet.fail", 200, reply
         raise _HttpError(404, f"no fleet action {action!r}")

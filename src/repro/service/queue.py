@@ -7,20 +7,17 @@ States::
                      │
                      └──────► failed
 
-A job moves to ``running`` when a worker *claims* it.  Two kinds of
-worker exist:
-
-* **local workers** — the daemon's own in-process worker threads.
-  They claim with ``worker=None``: no lease, because the worker dies
-  with the daemon, and :meth:`JobQueueBackend.recover` (run at
-  startup) moves any such job back to ``submitted`` immediately.
-* **fleet workers** — remote ``diogenes worker`` processes pulling
-  over HTTP (:mod:`repro.fleet.worker`).  They claim with a worker id
-  and a *lease*: the claim carries ``lease_expires``, heartbeats
-  extend it, and an expired lease returns the job to ``submitted``
-  for redelivery (:meth:`JobQueueBackend.expire_leases`).  A
-  coordinator restart leaves live remote leases alone — the worker is
-  still executing and will push its result home.
+A job moves to ``running`` when it is *claimed*.  The daemon claims
+only through the fleet protocol (:mod:`repro.fleet`), for its own
+in-process node and for remote ``diogenes worker`` processes alike:
+with a worker id and a *lease*.  The claim carries ``lease_expires``,
+heartbeats extend it, and an expired lease returns the job to
+``submitted`` for redelivery (:meth:`JobQueueBackend.expire_leases`).
+A restart leaves live leases alone — a remote worker is still
+executing and will push its result home.  An unleased claim
+(``worker=None``) is one whose claimer dies with the process;
+:meth:`JobQueueBackend.recover` (run at startup) moves such a job
+back to ``submitted`` immediately.
 
 Re-running is always safe — stage execution is deterministic, results
 land in content-addressed stores, and a half-finished run left at
@@ -74,9 +71,9 @@ class Job:
     attempts: int = 0
     created: float = field(default_factory=time.time)
     updated: float = field(default_factory=time.time)
-    #: Claiming worker id; ``None`` for the daemon's in-process workers.
+    #: Claiming worker id; ``None`` for an unleased claim.
     worker: str | None = None
-    #: Lease deadline (``time.time``) for remote claims; ``None`` when
+    #: Lease deadline (``time.time``) for leased claims; ``None`` when
     #: unleased.  An expired lease returns the job to ``submitted``.
     lease_expires: float | None = None
     #: ``time.time`` of the most recent claim; ``None`` until first
@@ -116,18 +113,15 @@ class JobQueueBackend(abc.ABC):
         self._seq = 0
         self._counts = dict.fromkeys(STATES, 0)
         # Incremental indexes so the hot paths never scan the full
-        # job table: ids waiting to be claimed, and ids holding a
-        # remote lease.  Submit-rate under load is bounded by these.
+        # job table: ids waiting to be claimed, and ids running (the
+        # leases among them).  Submit, pull and lease-sweep rates under
+        # load are bounded by these, not by the job history.
         self._pending: set[str] = set()
-        self._leased: set[str] = set()
+        self._running: set[str] = set()
         for job in self._load_all():
             self._jobs[job.id] = job
             self._counts[job.state] = self._counts.get(job.state, 0) + 1
-            if job.state == SUBMITTED:
-                self._pending.add(job.id)
-            if job.state == RUNNING and job.worker is not None \
-                    and job.lease_expires is not None:
-                self._leased.add(job.id)
+            self._index(job)
             try:
                 self._seq = max(self._seq, int(job.id.split("-")[1]))
             except (IndexError, ValueError):
@@ -149,14 +143,6 @@ class JobQueueBackend(abc.ABC):
         """Release backend resources (no-op for file backends)."""
 
     def _persist(self, job: Job) -> None:
-        # Lease membership can change without a state transition
-        # (heartbeats), so the lease index is maintained here — every
-        # mutation funnels through _persist.
-        if job.state == RUNNING and job.worker is not None \
-                and job.lease_expires is not None:
-            self._leased.add(job.id)
-        else:
-            self._leased.discard(job.id)
         job.updated = time.time()
         self._write(job)
 
@@ -170,10 +156,21 @@ class JobQueueBackend(abc.ABC):
         self._counts[job.state] -= 1
         job.state = state
         self._counts[state] = self._counts.get(state, 0) + 1
-        if state == SUBMITTED:
+        self._index(job)
+
+    def _index(self, job: Job) -> None:
+        """Keep the pending/running indexes in step with a job's state."""
+        self._pending.discard(job.id)
+        self._running.discard(job.id)
+        if job.state == SUBMITTED:
             self._pending.add(job.id)
-        else:
-            self._pending.discard(job.id)
+        elif job.state == RUNNING:
+            self._running.add(job.id)
+
+    def _leases_locked(self) -> list[Job]:
+        """Running jobs held under a lease (worker id and deadline)."""
+        return [job for job in map(self._jobs.get, sorted(self._running))
+                if job.worker is not None and job.lease_expires is not None]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -181,21 +178,19 @@ class JobQueueBackend(abc.ABC):
     def recover(self) -> list[Job]:
         """Crash-safe resume: requeue orphaned ``running`` jobs.
 
-        A job claimed by a *local* worker (``worker is None``) was in
-        flight inside the previous daemon process and died with it —
-        requeued unconditionally.  A job leased to a *remote* worker
-        survives a coordinator restart (the worker is still executing)
-        and is requeued only once its lease has expired.
+        An unleased claim (``worker is None``) was in flight inside the
+        previous process and died with it — requeued unconditionally.
+        A leased job survives a restart (a remote worker may still be
+        executing it) and is requeued only once its lease has expired.
         """
         now = time.time()
         requeued = []
         with self._lock:
-            for job in self._jobs.values():
-                if job.state != RUNNING:
-                    continue
+            for job_id in sorted(self._running):
+                job = self._jobs[job_id]
                 if job.worker is not None and (
                         job.lease_expires or 0) > now:
-                    continue  # live remote lease: leave it running
+                    continue  # live lease: leave it running
                 self._requeue_locked(job)
                 requeued.append(job)
         return requeued
@@ -218,8 +213,7 @@ class JobQueueBackend(abc.ABC):
                       report_key=report_key, state=state, error=error)
             self._jobs[job.id] = job
             self._counts[state] = self._counts.get(state, 0) + 1
-            if state == SUBMITTED:
-                self._pending.add(job.id)
+            self._index(job)
             self._persist(job)
             return job
 
@@ -227,8 +221,8 @@ class JobQueueBackend(abc.ABC):
                    lease_seconds: float | None = None) -> Job | None:
         """Oldest submitted job, atomically moved to ``running``.
 
-        ``worker``/``lease_seconds`` stamp a remote lease on the claim;
-        the default (both ``None``) is a local in-process claim.
+        ``worker``/``lease_seconds`` stamp a lease on the claim; the
+        default (both ``None``) is an unleased claim.
         """
         with self._lock:
             for job_id in sorted(self._pending):
@@ -260,7 +254,7 @@ class JobQueueBackend(abc.ABC):
 
     def heartbeat(self, job_id: str, worker: str,
                   lease_seconds: float) -> Job | None:
-        """Extend a remote claim's lease; ``None`` when the lease is
+        """Extend a leased claim; ``None`` when the lease is
         lost (job requeued, finished, or claimed by someone else)."""
         with self._lock:
             job = self._jobs.get(job_id)
@@ -276,9 +270,8 @@ class JobQueueBackend(abc.ABC):
         now = time.time() if now is None else now
         expired = []
         with self._lock:
-            for job_id in sorted(self._leased):
-                job = self._jobs[job_id]
-                if (job.lease_expires or 0) <= now:
+            for job in self._leases_locked():
+                if job.lease_expires <= now:
                     self._requeue_locked(job)
                     expired.append(job)
         return expired
@@ -319,20 +312,25 @@ class JobQueueBackend(abc.ABC):
             return [self._jobs[job_id] for job_id in sorted(self._jobs)]
 
     def jobs_in_state(self, state: str) -> list[Job]:
-        """Jobs currently in ``state``, oldest first."""
+        """Jobs currently in ``state``, oldest first.
+
+        Submitted and running jobs come from their indexes; only the
+        terminal states scan the job history.
+        """
         with self._lock:
-            if state == SUBMITTED:
-                return [self._jobs[job_id]
-                        for job_id in sorted(self._pending)]
+            index = {SUBMITTED: self._pending,
+                     RUNNING: self._running}.get(state)
+            if index is not None:
+                return [self._jobs[job_id] for job_id in sorted(index)]
             return [self._jobs[job_id] for job_id in sorted(self._jobs)
                     if self._jobs[job_id].state == state]
 
     def active_leases(self, now: float | None = None) -> int:
-        """Running jobs held under a live remote lease."""
+        """Running jobs held under a live lease."""
         now = time.time() if now is None else now
         with self._lock:
-            return sum(1 for job_id in self._leased
-                       if (self._jobs[job_id].lease_expires or 0) > now)
+            return sum(1 for job in self._leases_locked()
+                       if job.lease_expires > now)
 
     def counts(self) -> dict[str, int]:
         """``{state: job count}`` for all four states (zeros included)."""

@@ -28,7 +28,11 @@ from repro.core.stage4_syncuse import run_stage4
 from repro.exec.columnar import decode_tree, encode_records, encode_tree
 from repro.fuzz.generator import FuzzedApp
 from repro.instr.loadstore import RegionSet
-from repro.instr.stacks import intern_table_sizes, reset_intern_tables
+from repro.instr.stacks import (
+    intern_frame,
+    intern_table_sizes,
+    interning_scope,
+)
 
 COLUMNAR = DiogenesConfig(record_engine="columnar")
 ROWS = DiogenesConfig(record_engine="rows")
@@ -203,17 +207,25 @@ class TestRegionEnsure:
 
 
 # ----------------------------------------------------------------------
-# Process hygiene: intern-table reset, queue latency stamping
+# Process hygiene: per-job interning scopes, queue latency stamping
 # ----------------------------------------------------------------------
 class TestProcessHygiene:
-    def test_reset_intern_tables_drops_entries(self):
-        Diogenes(FuzzedApp(seed=7, segments=2), COLUMNAR).run()
+    def test_interning_scope_drops_its_tables_on_exit(self):
+        unscoped = dumps_report(
+            Diogenes(FuzzedApp(seed=7, segments=2), COLUMNAR).run())
         before = intern_table_sizes()
-        assert before["frames"] > 0 and before["snapshots"] > 0
-        freed = reset_intern_tables()
-        assert freed == before
+        with interning_scope():
+            scoped = dumps_report(
+                Diogenes(FuzzedApp(seed=7, segments=2), COLUMNAR).run())
+            inside = intern_table_sizes()
         after = intern_table_sizes()
-        assert all(after[k] == 0 for k in after)
+        # The run interned into the scope's own tables (fresh ids), and
+        # the report cannot tell.
+        assert scoped == unscoped
+        assert inside["snapshots"] > before["snapshots"]
+        for table in ("snapshots", "address_keys", "function_keys"):
+            assert after[table] == before[table]
+        assert after["frames"] <= intern_frame.cache_info().maxsize
 
     def test_claim_stamps_queue_latency(self, tmp_path):
         from repro.fleet.backends import make_queue

@@ -34,7 +34,6 @@ from repro.apps.base import registry
 from repro.core.cli import _load_workloads
 from repro.core.diogenes import Diogenes, DiogenesConfig
 from repro.core.jsonio import dumps_report
-from repro.exec.columnar import encode_tree
 from repro.exec.fingerprint import config_to_json
 from repro.exec.jobs import WorkloadSpec
 from repro.fleet import FleetCoordinator, HashRing, WorkerNode
@@ -433,6 +432,27 @@ class TestFleetEndToEnd:
             assert record["state"] == FAILED
             assert record["attempts"] == 2
 
+    def test_final_remote_failure_keeps_trace_and_flight_dump(
+            self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
+            daemon.fleet.retry_limit = 1
+            bad = daemon.queue.submit("synthetic-quiet", {"bogus_arg": 1},
+                                      config_to_json(DiogenesConfig()), "k")
+            _, thread = _run_worker(client.base_url, "w1", max_jobs=1)
+            thread.join(60)
+            with pytest.raises(ServiceError, match="TypeError"):
+                client.wait(bad.id, timeout=30)
+            trace = client.trace(bad.id)
+            roots = [s["name"] for s in trace["spans"]
+                     if s["parent_id"] is None]
+            assert roots == ["service.job"] and trace["worker"] == "w1"
+            flight = (pathlib.Path(daemon.data_dir) / "flight"
+                      / f"{bad.id}.jsonl")
+            events = [json.loads(line)
+                      for line in flight.read_text().splitlines()]
+            assert events[-1]["event"] == "job.failed"
+            assert {e["trace_id"] for e in events} == {trace["trace_id"]}
+
     def test_fleet_workers_listing_and_gauges(self, tmp_path):
         with running_daemon(tmp_path / "svc", workers=0) as (client, _):
             job = client.submit(APP, PARAMS)["job"]
@@ -541,28 +561,70 @@ class TestCoordinatorUnits:
         skewed = dict(identity)
         skewed["code_fingerprint"] = "deadbeef" * 5
         with pytest.raises(ValueError, match="skewed code"):
-            fleet.complete("w1", job.id, skewed,
-                           encode_tree({"schema_version": 1}), None)
+            fleet.complete("w1", job.id, skewed, {"schema_version": 1},
+                           None)
         assert queue.get(job.id).state == FAILED
         assert "skewed" in queue.get(job.id).error
 
     def test_stale_completion_is_acknowledged_not_applied(self, tmp_path):
-        queue, store, fleet = self._fixture(tmp_path, lease_seconds=0.01)
+        events = []
+        queue, store, fleet = self._fixture(
+            tmp_path, lease_seconds=0.01,
+            publish=lambda job_id, name, **fields: events.append(
+                (job_id, name, fields)))
         job, identity = self._submit_real(queue)
         fleet.register("w1")
         fleet.pull("w1")
         time.sleep(0.03)
         assert [j.id for j in fleet.expire()] == [job.id]
         # w1 finishes anyway and pushes after losing its lease.
+        del events[:]
         reply = fleet.complete("w1", job.id, dict(identity),
-                               encode_tree({"schema_version": 1}), None)
+                               {"schema_version": 1}, None,
+                               snapshot={"version": 7, "final": True})
         assert reply["stale"] is True
-        assert queue.get(job.id).state == SUBMITTED
-        # The bytes are banked: the next pull resolves without running.
+        # The bytes are banked and the requeued job resolves from them
+        # at push time, not stranded until some later pull — its final
+        # snapshot relayed ahead of the terminal event.
         assert store.contains(identity.key())
-        fleet.register("w2")
-        assert fleet.pull("w2") is None  # dedup-resolved, nothing to run
         assert queue.get(job.id).state == DONE
+        assert reply["job"]["state"] == DONE
+        assert [(j, name) for j, name, _ in events] == [
+            (job.id, "stream.snapshot"), (job.id, "job.done")]
+        assert events[0][2] == {"worker": "w1", "version": 7, "final": True}
+        fleet.register("w2")
+        assert fleet.pull("w2") is None  # nothing left to run
+
+    def test_pull_touches_only_pending_and_running_jobs(self, tmp_path):
+        queue, _, fleet = self._fixture(tmp_path)
+        for i in range(200):
+            done = queue.submit(APP, {"i": i}, {}, f"done-{i}")
+            queue.mark_done(queue.claim_job(done.id), done.report_key)
+        running = queue.submit(APP, {}, {}, "key-running")
+        queue.claim_job(running.id, worker="w0", lease_seconds=60.0)
+        waiting = queue.submit(APP, {}, {}, "key-waiting")
+        touched = []
+
+        class History(dict):
+            """The job table, recording lookups and refusing scans."""
+
+            def __getitem__(self, job_id):
+                touched.append(job_id)
+                return super().__getitem__(job_id)
+
+            def get(self, job_id, default=None):
+                touched.append(job_id)
+                return super().get(job_id, default)
+
+            def _scan(self, *args):
+                raise AssertionError("pull scanned the job history")
+
+            __iter__ = keys = values = items = _scan
+
+        queue._jobs = History(queue._jobs)
+        fleet.register("w1")
+        assert fleet.pull("w1").id == waiting.id
+        assert set(touched) <= {running.id, waiting.id}
 
     def test_stitch_trace_rebases_and_roots_worker_spans(self, tmp_path):
         queue, _, _ = self._fixture(tmp_path)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -753,3 +755,97 @@ class TestServiceCli:
         client, _ = service
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["submit", "no-such-app", "--url", client.base_url])
+
+
+# ----------------------------------------------------------------------
+# Local workers are one in-process fleet node
+# ----------------------------------------------------------------------
+class TestInProcessNode:
+    STACK_TABLES = ("snapshots", "address_keys", "function_keys")
+
+    def test_intern_tables_stay_bounded_across_jobs(self, tmp_path):
+        from repro.instr.stacks import (
+            demangle_base_name,
+            instruction_address,
+            intern_frame,
+            intern_table_sizes,
+        )
+
+        caps = {"frames": intern_frame,
+                "instruction_addresses": instruction_address,
+                "demangled_names": demangle_base_name}
+        baseline = intern_table_sizes()
+        with running_daemon(tmp_path / "svc", workers=2) as (client, _):
+            for first in range(0, 20, 2):
+                jobs = [client.submit("fuzzed", {"seed": seed,
+                                                 "segments": 2})["job"]
+                        for seed in (first, first + 1)]
+                for job in jobs:
+                    assert client.wait(job["id"], timeout=60)["state"] == DONE
+                # Between jobs no interning scope is open, and the
+                # process-wide tables did not grow.
+                sizes = intern_table_sizes()
+                for table in self.STACK_TABLES:
+                    assert sizes[table] == baseline[table], (first, table)
+                for table, cache in caps.items():
+                    assert sizes[table] <= cache.cache_info().maxsize
+
+    def test_slots_outnumbering_cores_lose_no_update(self, tmp_path):
+        # Four slots on one node, thread switches forced often: every
+        # report still matches serial bytes, and the node's completion
+        # count (incremented from every slot) loses nothing.
+        apps = CONCURRENT_APPS + [("fuzzed", {"seed": seed, "segments": 2})
+                                  for seed in range(100, 105)]
+        serial = {i: _serial_json(name, params)
+                  for i, (name, params) in enumerate(apps)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_daemon(tmp_path / "svc", workers=4) as (client, _):
+                jobs = [client.submit(name, params)["job"]
+                        for name, params in apps]
+                done = [client.wait(job["id"], timeout=120) for job in jobs]
+                for i, job in enumerate(done):
+                    fetched = client.report(job["report_key"])
+                    assert json.dumps(fetched, indent=2) == serial[i], i
+                (node,) = client.fleet_workers()["workers"]
+                assert node["jobs_completed"] == len(apps)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_running_job_holds_a_lease_under_the_node_id(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=1) as (client, daemon):
+            listing = client.fleet_workers()
+            assert listing["live"] == [daemon.node.worker_id]
+            job = client.submit(APP, {"iterations": 2000})["job"]
+            for _ in range(400):
+                record = client.job(job["id"])
+                if record["state"] != SUBMITTED:
+                    break
+                time.sleep(0.01)
+            assert record["state"] == RUNNING, record
+            assert record["worker"] == daemon.node.worker_id
+            assert record["lease_expires"] > time.time()
+            assert client.wait(job["id"], timeout=60)["state"] == DONE
+
+    def test_health_answers_while_a_claim_is_held_up(self, tmp_path,
+                                                      monkeypatch):
+        with running_daemon(tmp_path / "svc", workers=1) as (client, daemon):
+            entered, release = threading.Event(), threading.Event()
+            pull = daemon.fleet.pull
+
+            def slow_pull(worker_id):
+                entered.set()
+                release.wait(10)
+                return pull(worker_id)
+
+            monkeypatch.setattr(daemon.fleet, "pull", slow_pull)
+            try:
+                assert entered.wait(5), "the slot never claimed"
+                t0 = time.perf_counter()
+                assert client.health()["status"] == "ok"
+                assert time.perf_counter() - t0 < 0.2
+            finally:
+                release.set()
+            job = client.submit(APP, PARAMS)["job"]
+            assert client.wait(job["id"], timeout=60)["state"] == DONE
