@@ -156,8 +156,7 @@ def bench_fleet() -> dict:
     serial, serial_wall = _serial_reports()
 
     with tempfile.TemporaryDirectory() as tmp:
-        daemon = ServiceDaemon(os.path.join(tmp, "svc"), workers=0,
-                               backend="sqlite")
+        daemon = ServiceDaemon(os.path.join(tmp, "svc"), workers=0)
         daemon_thread = threading.Thread(target=daemon.run,
                                          kwargs={"port": 0}, daemon=True)
         daemon_thread.start()

@@ -90,7 +90,7 @@ def main() -> int:
 
     coordinator = _spawn(_cli(
         "serve", "--port", str(args.port), "--data-dir", args.data_dir,
-        "--workers", "0", "--backend", "sqlite",
+        "--workers", "0",
         "--lease-seconds", "2", "--worker-ttl", "4"))
     procs.append(coordinator)
     client = ServiceClient(url, retries=6)

@@ -139,10 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "<data-dir>/stage-cache)")
     serve.add_argument("--no-cache", action="store_true",
                        help="run without a stage-result cache")
-    serve.add_argument("--backend", default="file",
-                       choices=["file", "sqlite"],
-                       help="queue/store persistence backend "
-                            "(default: file)")
+    serve.add_argument("--backend", default="sqlite", choices=["sqlite"],
+                       help="queue/store persistence (sqlite, the only "
+                            "backend; accepted for older scripts)")
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
                        help="reject /submit with 429 + Retry-After once N "
                             "jobs wait (default: unbounded)")
@@ -530,15 +529,17 @@ def _client(args):
 def _cmd_serve(args) -> int:
     from repro.service.daemon import ServiceDaemon
 
-    daemon = ServiceDaemon(args.data_dir, workers=args.workers,
-                           jobs=args.jobs, cache_dir=args.cache_dir,
-                           use_cache=not args.no_cache,
-                           backend=args.backend, max_queue=args.max_queue,
-                           lease_seconds=args.lease_seconds,
-                           worker_ttl=args.worker_ttl)
+    try:
+        daemon = ServiceDaemon(args.data_dir, workers=args.workers,
+                               jobs=args.jobs, cache_dir=args.cache_dir,
+                               use_cache=not args.no_cache,
+                               max_queue=args.max_queue,
+                               lease_seconds=args.lease_seconds,
+                               worker_ttl=args.worker_ttl)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     print(f"diogenes analysis service on http://{args.host}:{args.port} "
-          f"(data: {args.data_dir}, backend: {args.backend}; "
-          f"POST /shutdown to stop)",
+          f"(data: {args.data_dir}; POST /shutdown to stop)",
           file=sys.stderr)
     daemon.run(args.host, args.port)
     return 0

@@ -10,8 +10,6 @@ the daemon's own ``--workers N`` node by direct calls.
 * :mod:`repro.fleet.ring` — consistent-hash ring: report keys map to
   owning workers, so a given submission always lands on the same node
   (stage-cache locality + one layer of duplicate suppression);
-* :mod:`repro.fleet.backends` — registry of pluggable queue/store
-  backends (``file`` and ``sqlite``);
 * :mod:`repro.fleet.coordinator` — coordinator-side state: the worker
   registry, lease accounting, cross-node duplicate suppression, and
   the trace stitcher that roots every pushed span batch under one
@@ -30,7 +28,10 @@ Protocol, backpressure rules, and a runnable two-worker example:
 ``docs/service.md`` ("Fleet mode").
 """
 
-from repro.fleet.backends import make_queue, make_store
+# The service package's init imports the daemon, which imports the
+# coordinator and worker below; loading it first resolves that cycle
+# from the service side whichever package is imported first.
+import repro.service  # noqa: F401
 from repro.fleet.coordinator import FleetCoordinator, WorkerInfo
 from repro.fleet.ring import HashRing
 from repro.fleet.worker import WorkerNode
@@ -40,6 +41,4 @@ __all__ = [
     "HashRing",
     "WorkerInfo",
     "WorkerNode",
-    "make_queue",
-    "make_store",
 ]

@@ -6,14 +6,10 @@ daemon instead of one-shot CLI invocations:
 
 * :mod:`repro.service.queue` — persistent job queue
   (submitted/running/done/failed) with crash-safe resume and
-  lease-based remote claims, behind a pluggable persistence seam
-  (:class:`~repro.service.queue.JobQueueBackend`);
+  lease-based remote claims, in one sqlite/WAL database;
 * :mod:`repro.service.store` — content-addressed report store keyed
   by (workload fingerprint, config digest, code fingerprint), with
-  append-only run history, behind the same kind of seam
-  (:class:`~repro.service.store.ReportStoreBase`);
-* :mod:`repro.service.sqlite` — sqlite/WAL implementations of both
-  (``diogenes serve --backend sqlite``);
+  append-only run history, in a second sqlite/WAL database;
 * :mod:`repro.service.daemon` — the asyncio HTTP/JSON server
   (``diogenes serve``) running submissions on fleet nodes
   (:mod:`repro.fleet`) — its own in-process one, ``--workers`` slots
@@ -39,30 +35,19 @@ from repro.service.queue import (
     FAILED,
     RUNNING,
     SUBMITTED,
-    FileJobQueue,
     Job,
     JobQueue,
-    JobQueueBackend,
 )
-from repro.service.store import (
-    FileReportStore,
-    ReportStore,
-    ReportStoreBase,
-    report_identity,
-)
+from repro.service.store import ReportStore, report_identity
 
 __all__ = [
     "DONE",
     "FAILED",
     "RUNNING",
     "SUBMITTED",
-    "FileJobQueue",
-    "FileReportStore",
     "Job",
     "JobQueue",
-    "JobQueueBackend",
     "ReportStore",
-    "ReportStoreBase",
     "ServiceClient",
     "ServiceDaemon",
     "ServiceError",

@@ -29,9 +29,9 @@ Routes::
     POST /submit              {"workload", "params"?, "config"?, "force"?}
     GET  /jobs                all jobs + per-state counts
     GET  /jobs/<id>           one job
-    GET  /reports/<key>       stored report JSON, served from the store's
-                              mmap'd body segment (no decode on fetch;
-                              byte-equal to `diogenes run --json`)
+    GET  /reports/<key>       stored report JSON, the bytes stored at put
+                              time (no decode on fetch; byte-equal to
+                              `diogenes run --json`)
     GET  /trace/<job-id>      the job's distributed trace (request span +
                               executor + worker spans, one connected tree)
     GET  /events?job=<id>     long-poll live job events (&after=<seq>,
@@ -51,10 +51,10 @@ Fleet routes (coordinator side of :mod:`repro.fleet`)::
 
 Backpressure: with ``--max-queue N``, ``/submit`` answers **429** with
 a ``Retry-After`` header once ``N`` jobs are waiting; the client backs
-off and retries.  Queue and store persistence are pluggable
-(``--backend file|sqlite``, :mod:`repro.fleet.backends`); SIGTERM
-drains gracefully — in-flight jobs finish, queue state is already
-persisted per transition, and the process exits 0.
+off and retries.  The queue and the store each persist to one
+sqlite database under the data directory; SIGTERM drains gracefully —
+in-flight jobs finish, queue state is already persisted per
+transition, and the process exits 0.
 
 Each executed job runs under its own per-job tracer (thread-confined,
 so concurrent slots never share span stacks) rooted at the node's
@@ -67,7 +67,8 @@ the tree beside the report store, keyed by job id.  On any final
 Crash safety: the job queue is persistent (`repro.service.queue`);
 a job whose lease expires — its node died, this daemon's included —
 is requeued and re-executed, which is safe because execution is
-deterministic and both stores are content-addressed and atomic.
+deterministic and both stores are content-addressed and
+transactional.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ from repro.exec.jobs import WorkloadSpec
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.worker import LocalLink, WorkerNode
 from repro.service.client import ServiceError
-from repro.service.queue import DONE, FAILED, STATES, Job
-from repro.service.store import MappedBody, report_identity
+from repro.service.queue import DONE, FAILED, STATES, Job, JobQueue
+from repro.service.store import ReportStore, report_identity
 
 #: Events retained per job for the ``/events`` stream.
 _EVENTS_PER_JOB = 1000
@@ -125,18 +126,18 @@ class ServiceDaemon:
     """One long-lived analysis service over one data directory.
 
     ``data_dir`` holds everything the daemon persists: the job queue
-    (``queue/``), the report store (``store/``), and — unless a
-    different ``cache_dir`` is given — the stage-result cache
-    (``stage-cache/``).  ``workers`` is the slot count of the
-    in-process fleet node (0: none, a pure coordinator); ``jobs`` is
-    the process fan-out each analysis may use (1 = inline in the slot
-    thread).
+    (``queue/queue.db``), the report store (``store/store.db``), and —
+    unless a different ``cache_dir`` is given — the stage-result cache
+    (``stage-cache/``).  A ``queue/`` of the retired file backend
+    (``job-*.json``) is refused with a ``ValueError``, not ignored.
+    ``workers`` is the slot count of the in-process fleet node (0:
+    none, a pure coordinator); ``jobs`` is the process fan-out each
+    analysis may use (1 = inline in the slot thread).
     """
 
     def __init__(self, data_dir: str | os.PathLike, *, workers: int = 2,
                  jobs: int = 1, cache_dir: str | os.PathLike | None = None,
-                 use_cache: bool = True, backend: str = "file",
-                 max_queue: int | None = None,
+                 use_cache: bool = True, max_queue: int | None = None,
                  lease_seconds: float = 30.0,
                  worker_ttl: float | None = None) -> None:
         if workers < 0:
@@ -145,16 +146,10 @@ class ServiceDaemon:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max-queue must be >= 1, got {max_queue}")
-        # Imported here, not at module scope: the backend registry
-        # imports the queue/store modules this package re-exports, so a
-        # top-level import would be circular.
-        from repro.fleet.backends import make_queue, make_store
-
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
-        self.backend = backend
-        self.queue = make_queue(backend, os.path.join(self.data_dir, "queue"))
-        self.store = make_store(backend, os.path.join(self.data_dir, "store"))
+        self.queue = JobQueue(os.path.join(self.data_dir, "queue"))
+        self.store = ReportStore(os.path.join(self.data_dir, "store"))
         self.workers = workers
         self.max_queue = max_queue
         fleet_kwargs = {} if worker_ttl is None else {
@@ -434,15 +429,8 @@ class ServiceDaemon:
                 await self._write(writer, status, payload["html"].encode(),
                                   "text/html; charset=utf-8", close=close)
             elif route == "report" and status == 200:
-                body = payload["raw"]
-                try:
-                    await self._write(
-                        writer, status,
-                        body.view if isinstance(body, MappedBody) else body,
-                        "application/json", close=close)
-                finally:
-                    if isinstance(body, MappedBody):
-                        body.close()
+                await self._write(writer, status, payload["raw"],
+                                  "application/json", close=close)
             else:
                 # Compact encoding keeps json on its C fast path —
                 # indented output forces the pure-Python encoder, which
@@ -474,8 +462,8 @@ class ServiceDaemon:
                 f"Content-Length: {len(body)}\r\n"
                 f"{extras}"
                 f"Connection: {connection}\r\n\r\n")
-        # Two writes, no concatenation: mmap-backed bodies go to the
-        # transport without being copied into a joined bytes object.
+        # Two writes, no concatenation: a stored report body goes to
+        # the transport without being copied into a joined bytes object.
         writer.write(head.encode())
         writer.write(body)
         await writer.drain()
@@ -518,8 +506,7 @@ class ServiceDaemon:
             return "job", 200, job.to_json()
         if segments[:1] == ["reports"] and len(segments) == 2 \
                 and method == "GET":
-            # Served straight from the store's mmap'd body segment:
-            # the bytes written at put time go to the socket with no
+            # The bytes written at put time go to the socket with no
             # JSON decode or re-encode on the fetch path.
             raw = self.store.get_bytes(segments[1])
             if raw is None:

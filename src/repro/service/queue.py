@@ -1,5 +1,4 @@
-"""Persistent job queue for the analysis daemon, behind pluggable
-backends.
+"""Persistent job queue for the analysis daemon, in one sqlite database.
 
 States::
 
@@ -12,38 +11,28 @@ only through the fleet protocol (:mod:`repro.fleet`), for its own
 in-process node and for remote ``diogenes worker`` processes alike:
 with a worker id and a *lease*.  The claim carries ``lease_expires``,
 heartbeats extend it, and an expired lease returns the job to
-``submitted`` for redelivery (:meth:`JobQueueBackend.expire_leases`).
+``submitted`` for redelivery (:meth:`JobQueue.expire_leases`).
 A restart leaves live leases alone — a remote worker is still
 executing and will push its result home.  An unleased claim
 (``worker=None``) is one whose claimer dies with the process;
-:meth:`JobQueueBackend.recover` (run at startup) moves such a job
-back to ``submitted`` immediately.
+:meth:`JobQueue.recover` (run at startup) moves such a job back to
+``submitted`` immediately.
 
 Re-running is always safe — stage execution is deterministic, results
 land in content-addressed stores, and a half-finished run left at
 most some reusable stage-cache entries.
 
-The queue logic (claiming, leases, counts, recovery) lives in
-:class:`JobQueueBackend`; backends supply only persistence:
-
-* :class:`FileJobQueue` — one atomically-written JSON file per job
-  (the original implementation; the default);
-* :class:`repro.service.sqlite.SqliteJobQueue` — a single sqlite
-  database in WAL mode, one row per job.
-
-Both load the full job set into memory at startup and persist every
-transition before acting on it, so their observable behaviour is
-identical by construction — ``tests/test_queue_backends.py`` runs one
-shared contract suite against both.
+The job set lives in memory; ``<dir>/queue.db`` (WAL mode, one row
+per job) is its durable mirror, read back at startup.  Every
+transition is persisted, in one transaction, before it is acted on.
 """
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import pathlib
-import tempfile
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
@@ -95,19 +84,52 @@ class Job:
         return cls(**data)
 
 
-class JobQueueBackend(abc.ABC):
-    """Shared queue logic over an abstract persistence layer.
+def connect(directory: str | os.PathLike,
+            filename: str) -> sqlite3.Connection:
+    """Open ``directory/filename`` the way the service's databases run.
 
-    Subclasses implement :meth:`_load_all` (read every persisted job at
-    startup) and :meth:`_write` (persist one job's current state);
-    everything else — claim ordering, leases, per-state counts,
-    crash recovery — is common, so every backend behaves identically.
+    WAL mode, so writers never block readers: the event loop answers
+    ``/jobs`` while a slot thread persists a transition.  With
+    ``synchronous=NORMAL`` an OS crash may lose the *last* transactions
+    but never corrupts the file; a lost transition re-runs its job,
+    which is the crash model the service assumes everywhere (execution
+    is deterministic, stores are content-addressed).  One connection
+    serves every thread; callers serialize their calls with a lock.
+    """
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(os.fspath(directory / filename),
+                           check_same_thread=False)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute("PRAGMA synchronous=NORMAL")
+    return conn
+
+
+class JobQueue:
+    """The daemon's job queue over one directory (``queue.db`` inside).
+
+    Claim ordering, leases, per-state counts and crash recovery run on
+    the in-memory job dict under one lock; :meth:`_persist` mirrors
+    each transition into sqlite before the call returns.
     """
 
-    #: Registry name (see :mod:`repro.fleet.backends`).
-    backend_name = "abstract"
-
-    def __init__(self) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
+        directory = pathlib.Path(directory)
+        if any(directory.glob("job-*.json")):
+            # Written by the former one-file-per-job queue: opening it
+            # here would start an empty queue beside jobs that then
+            # never run.
+            raise ValueError(
+                f"{directory} holds jobs of the retired file backend "
+                "(job-*.json), which this version does not read; run "
+                "them to completion with the previous release or use a "
+                "fresh data directory")
+        self._conn = connect(directory, "queue.db")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS jobs ("
+            "  id TEXT PRIMARY KEY,"
+            "  data TEXT NOT NULL)")
+        self._conn.commit()
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._seq = 0
@@ -118,7 +140,11 @@ class JobQueueBackend(abc.ABC):
         # load are bounded by these, not by the job history.
         self._pending: set[str] = set()
         self._running: set[str] = set()
-        for job in self._load_all():
+        for (data,) in self._conn.execute("SELECT data FROM jobs"):
+            try:
+                job = Job.from_json(json.loads(data))
+            except (ValueError, TypeError):
+                continue  # unreadable record: skip, never crash the daemon
             self._jobs[job.id] = job
             self._counts[job.state] = self._counts.get(job.state, 0) + 1
             self._index(job)
@@ -128,23 +154,15 @@ class JobQueueBackend(abc.ABC):
                 pass
         self.recover()
 
-    # ------------------------------------------------------------------
-    # Persistence seam
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _load_all(self) -> list[Job]:
-        """Every persisted job, unreadable records skipped."""
-
-    @abc.abstractmethod
-    def _write(self, job: Job) -> None:
-        """Durably persist one job's current state."""
-
     def close(self) -> None:
-        """Release backend resources (no-op for file backends)."""
+        self._conn.close()
 
     def _persist(self, job: Job) -> None:
+        """Durably write one job's current state."""
         job.updated = time.time()
-        self._write(job)
+        self._conn.execute("INSERT OR REPLACE INTO jobs VALUES (?, ?)",
+                           (job.id, json.dumps(job.to_json())))
+        self._conn.commit()
 
     def _transition(self, job: Job, state: str) -> None:
         """Move a job between states, keeping counts incremental.
@@ -346,43 +364,6 @@ class JobQueueBackend(abc.ABC):
             return len(self._jobs)
 
 
-class FileJobQueue(JobQueueBackend):
-    """Directory-backed queue: one atomic JSON file per job."""
-
-    backend_name = "file"
-
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        super().__init__()
-
-    def _path(self, job_id: str) -> pathlib.Path:
-        return self.directory / f"{job_id}.json"
-
-    def _load_all(self) -> list[Job]:
-        jobs = []
-        for path in sorted(self.directory.glob("job-*.json")):
-            try:
-                jobs.append(Job.from_json(json.loads(path.read_text())))
-            except (ValueError, TypeError):
-                continue  # unreadable record: skip, never crash the daemon
-        return jobs
-
-    def _write(self, job: Job) -> None:
-        path = self._path(job.id)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fp:
-                json.dump(job.to_json(), fp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-
-#: Historical name — the atomic-file queue was the only implementation
-#: before the backend seam existed.
-JobQueue = FileJobQueue
+#: The name the traced benchmark (``benchmarks/e2e/launch.py``) times
+#: queue operations under.
+JobQueueBackend = JobQueue

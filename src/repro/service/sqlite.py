@@ -1,291 +1,13 @@
-"""sqlite/WAL-backed queue and report-store backends.
+"""The report store under its sqlite-backend name.
 
-The atomic-file backends (:class:`~repro.service.queue.FileJobQueue`,
-:class:`~repro.service.store.ReportStore`) pay one file per job and
-three files per report; past a few thousand jobs the directory scans
-and inode churn start to show.  These backends keep the same
-observable behaviour — the shared contract suites in
-``tests/test_queue_backends.py`` / ``tests/test_store_backends.py``
-enforce it — over a single sqlite database each, opened in WAL mode:
-
-* writers never block readers, so the daemon's event loop can answer
-  ``/jobs`` while a worker thread persists a transition;
-* every transition is one transaction — crash-safe by sqlite's own
-  journal, no ``mkstemp``/``rename`` dance;
-* the store's duplicate check is an indexed primary-key lookup.
-
-Durability note: WAL with ``synchronous=NORMAL`` may lose the *last*
-transactions on an OS crash but never corrupts — the queue recovers
-exactly as it does from a daemon kill (jobs re-run; stores are
-content-addressed), which is the crash model this service already
-assumes everywhere.
-
-Select a backend with ``diogenes serve --backend sqlite`` (the
-registry lives in :mod:`repro.fleet.backends`).
+The service persists through sqlite only: the job queue
+(:class:`repro.service.queue.JobQueue`) and the report store
+(:class:`repro.service.store.ReportStore`).  ``SqliteReportStore`` is
+the same class as ``ReportStore``, so code that names the store this
+way — the traced benchmark's timing hooks in
+``benchmarks/e2e/launch.py`` among it — times the one real ``put``.
 """
 
-from __future__ import annotations
+from repro.service.store import ReportStore as SqliteReportStore
 
-import json
-import os
-import pathlib
-import sqlite3
-import threading
-import time
-
-from repro.exec.columnar import decode_tree, encode_tree
-from repro.exec.fingerprint import canonical_json
-from repro.service.queue import Job, JobQueueBackend
-from repro.service.store import (
-    STORE_SCHEMA_VERSION,
-    ReportIdentity,
-    ReportStoreBase,
-)
-
-
-def _connect(path: str | os.PathLike) -> sqlite3.Connection:
-    conn = sqlite3.connect(os.fspath(path), check_same_thread=False)
-    conn.execute("PRAGMA journal_mode=WAL")
-    conn.execute("PRAGMA synchronous=NORMAL")
-    return conn
-
-
-class SqliteJobQueue(JobQueueBackend):
-    """Job queue persisted as one WAL-mode sqlite database.
-
-    The in-memory job dict (shared logic in
-    :class:`~repro.service.queue.JobQueueBackend`) stays the source of
-    truth inside one process; sqlite is the durable mirror read back
-    at startup.  A single connection serves all threads — calls are
-    already serialized by the queue lock.
-    """
-
-    backend_name = "sqlite"
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        path = pathlib.Path(path)
-        if path.suffix != ".db":  # accept a directory like the file queue
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / "queue.db"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.path = path
-        self._conn = _connect(path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS jobs ("
-            "  id TEXT PRIMARY KEY,"
-            "  data TEXT NOT NULL)")
-        self._conn.commit()
-        super().__init__()
-
-    def _load_all(self) -> list[Job]:
-        jobs = []
-        for (data,) in self._conn.execute(
-                "SELECT data FROM jobs ORDER BY id"):
-            try:
-                jobs.append(Job.from_json(json.loads(data)))
-            except (ValueError, TypeError):
-                continue  # unreadable record: skip, never crash the daemon
-        return jobs
-
-    def _write(self, job: Job) -> None:
-        self._conn.execute(
-            "INSERT INTO jobs (id, data) VALUES (?, ?) "
-            "ON CONFLICT(id) DO UPDATE SET data = excluded.data",
-            (job.id, json.dumps(job.to_json())))
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-class SqliteReportStore(ReportStoreBase):
-    """Content-addressed report store in one WAL-mode sqlite database.
-
-    Envelopes, exact response bodies, traces, and the run history all
-    live in the same file; ``get_bytes`` returns the body column
-    directly (plain ``bytes`` — no mmap segment, but still zero
-    decode/re-encode on the fetch path, and byte-identical to the file
-    backend's response because both store ``json.dumps(report,
-    indent=2)`` written at put time).
-    """
-
-    backend_name = "sqlite"
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        path = pathlib.Path(path)
-        if path.suffix != ".db":
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / "store.db"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.path = path
-        self._lock = threading.Lock()
-        self._conn = _connect(path)
-        self._conn.executescript(
-            "CREATE TABLE IF NOT EXISTS reports ("
-            "  key TEXT PRIMARY KEY,"
-            "  envelope TEXT NOT NULL,"
-            "  body BLOB NOT NULL,"
-            "  stored_at REAL NOT NULL);"
-            "CREATE TABLE IF NOT EXISTS traces ("
-            "  job_id TEXT PRIMARY KEY,"
-            "  payload TEXT NOT NULL);"
-            "CREATE TABLE IF NOT EXISTS history ("
-            "  seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-            "  line TEXT NOT NULL);")
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.close()
-
-    # ------------------------------------------------------------------
-    def _envelope_row(self, key: str) -> dict | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT envelope FROM reports WHERE key = ?",
-                (key,)).fetchone()
-        if row is None:
-            return None
-        try:
-            envelope = json.loads(row[0])
-        except ValueError:
-            return None
-        return envelope if isinstance(envelope, dict) else None
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM reports WHERE key = ?", (key,)).fetchone()
-        return row is not None
-
-    def get(self, key: str) -> dict | None:
-        envelope = self._envelope_row(key)
-        if envelope is None or envelope.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        report = envelope.get("report")
-        if not isinstance(report, dict) or "schema_version" not in report:
-            return None
-        return decode_tree(report)
-
-    def get_envelope(self, key: str) -> dict | None:
-        return self._envelope_row(key)
-
-    def put(self, identity: ReportIdentity, report_json: dict,
-            *, job_id: str | None = None) -> str:
-        self.check_stamp(report_json)
-        key = identity.key()
-        body = json.dumps(report_json, indent=2).encode()
-        envelope = {
-            "schema": STORE_SCHEMA_VERSION,
-            "key": key,
-            "identity": dict(identity),
-            "job_id": job_id,
-            "body_bytes": len(body),
-            "report": encode_tree(report_json),
-        }
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO reports (key, envelope, body, stored_at) "
-                "VALUES (?, ?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET envelope = excluded.envelope,"
-                "  body = excluded.body, stored_at = excluded.stored_at",
-                (key, json.dumps(envelope), body, time.time()))
-            seq = self._conn.execute(
-                "SELECT COUNT(*) FROM history").fetchone()[0]
-            line = canonical_json({
-                "seq": seq,
-                "key": key,
-                "job_id": job_id,
-                **{k: identity[k] for k in
-                   ("workload", "workload_fingerprint", "config_digest",
-                    "code_fingerprint", "schema_version")},
-            })
-            self._conn.execute("INSERT INTO history (line) VALUES (?)",
-                               (line,))
-            self._conn.commit()
-        return key
-
-    def get_bytes(self, key: str) -> bytes | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT body FROM reports WHERE key = ?", (key,)).fetchone()
-        if row is not None:
-            return bytes(row[0])
-        return None
-
-    # ------------------------------------------------------------------
-    def put_trace(self, job_id: str, payload: dict) -> None:
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO traces (job_id, payload) VALUES (?, ?) "
-                "ON CONFLICT(job_id) DO UPDATE SET payload = excluded.payload",
-                (job_id, json.dumps(payload)))
-            self._conn.commit()
-
-    def get_trace(self, job_id: str) -> dict | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM traces WHERE job_id = ?",
-                (job_id,)).fetchone()
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row[0])
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    # ------------------------------------------------------------------
-    def history(self, workload: str | None = None) -> list[dict]:
-        entries = []
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT line FROM history ORDER BY seq").fetchall()
-        for (line,) in rows:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            if workload is None or entry.get("workload") == workload:
-                entries.append(entry)
-        return entries
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        with self._lock:
-            reports, nbytes = self._conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM("
-                "  LENGTH(envelope) + LENGTH(body)), 0) FROM reports"
-            ).fetchone()
-        return {"reports": reports, "bytes": nbytes}
-
-    def prune(self, max_bytes: int) -> dict:
-        """Evict least-recently-stored reports until under the budget.
-
-        Mirrors the file backend: newest entries are kept while the
-        running total fits; traces and history are never touched.
-        """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key, LENGTH(envelope) + LENGTH(body) "
-                "FROM reports ORDER BY stored_at DESC, key").fetchall()
-            total = 0
-            removed = 0
-            freed = 0
-            kept = 0
-            for key, nbytes in rows:
-                if total + nbytes <= max_bytes:
-                    total += nbytes
-                    kept += 1
-                    continue
-                self._conn.execute("DELETE FROM reports WHERE key = ?",
-                                   (key,))
-                removed += 1
-                freed += nbytes
-            self._conn.commit()
-            return {"removed": removed, "freed_bytes": freed,
-                    "reports": kept, "bytes": total}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM reports").fetchone()[0]
+__all__ = ["SqliteReportStore"]

@@ -2,15 +2,9 @@
 
 Where the stage cache (:mod:`repro.exec.cache`) remembers *stage*
 payloads, this store remembers finished *reports* — the unit a client
-asks for.  The public surface is :class:`ReportStoreBase`; two
-backends implement it (see :mod:`repro.fleet.backends`):
+asks for.
 
-* :class:`ReportStore` — the original atomic-file layout described
-  below (the default);
-* :class:`repro.service.sqlite.SqliteReportStore` — a single sqlite
-  database in WAL mode.
-
-A report's identity is the tuple the ISSUE names:
+A report's identity is a tuple of four parts:
 
 * **workload fingerprint** — registry name + params + module source
   (:func:`repro.exec.fingerprint.workload_fingerprint`);
@@ -22,38 +16,32 @@ A report's identity is the tuple the ISSUE names:
 
 Identical submissions therefore hash to the same key and are served
 from disk without executing a single stage job; any relevant change
-produces a different key and a fresh run.  Every ``put`` also appends
-one line to ``history.jsonl`` — the per-workload run history that the
-``/history`` endpoint serves for edit-rerun archaeology.
+produces a different key and a fresh run.
 
-Layout mirrors the stage cache (git-object style, atomic writes,
-tolerant reads)::
+Everything lives in one WAL-mode sqlite database, ``<dir>/store.db``:
 
-    <dir>/<key[:2]>/<key>.json       envelope: identity + report JSON
-    <dir>/<key[:2]>/<key>.body.json  the serialized report, byte-exact
-    <dir>/history.jsonl              one append-only line per stored report
+* ``reports`` — one row per key: the identity, the job id that stored
+  it, and the report's exact response bytes (``json.dumps(report,
+  indent=2)``, written once at ``put`` time).  A fetch hands those
+  bytes to the socket with no decode or re-encode; ``get`` is their
+  ``json.loads``.
+* ``traces`` — one distributed-trace payload per executed job.
+* ``history`` — one append-only line per ``put``, the per-workload run
+  history the ``/history`` endpoint serves for edit-rerun archaeology.
 
-The *body segment* holds exactly the bytes a fetch response carries
-(``json.dumps(report, indent=2)``), written once at ``put`` time.  A
-fetch maps the segment (:func:`mmap.mmap`) and hands the pages to the
-socket — no JSON decode, no re-encode, no heap copy of the report.
-The envelope records the segment's expected size; a mismatch (torn
-write, truncation) makes the mapped path refuse and the fetch falls
-back to the envelope's columnar payload.
+The database's ``user_version`` is :data:`STORE_SCHEMA_VERSION`.  A
+database of another version has its report rows dropped on open —
+they would read as misses, so their submissions re-run — while its
+traces and history are kept.
 """
 
 from __future__ import annotations
 
-import abc
 import json
-import mmap
 import os
-import pathlib
-import tempfile
 import threading
 
 from repro.core.jsonio import SCHEMA_VERSION
-from repro.exec.columnar import decode_tree, encode_tree
 from repro.exec.fingerprint import (
     canonical_json,
     code_fingerprint,
@@ -61,48 +49,28 @@ from repro.exec.fingerprint import (
     digest_json,
 )
 from repro.exec.jobs import WorkloadSpec
+from repro.service.queue import connect
 
-#: Bump when the envelope layout changes (old entries become misses).
+#: Bump when the stored layout changes (old reports become misses).
 #: v2: the embedded report's record lists are stored columnar-encoded
 #: (:mod:`repro.exec.columnar`); ``get`` decodes transparently.
-#: v3: a ``.body.json`` segment beside the envelope holds the exact
-#: serialized response bytes (``body_bytes`` in the envelope names its
-#: size); fetches are served from an mmap of that segment.
-STORE_SCHEMA_VERSION = 3
+#: v3: a segment file beside the envelope holds the exact serialized
+#: response bytes; fetches are served memory-mapped from it.
+#: v4: one sqlite row per report holding only the exact response
+#: bytes (plus identity and job id); no encoded copy.
+STORE_SCHEMA_VERSION = 4
 
-
-class MappedBody:
-    """Zero-copy view of a stored report's serialized bytes.
-
-    Wraps the mmap so the buffer can be handed to a socket writer and
-    released afterwards; ``close`` is idempotent.
-    """
-
-    __slots__ = ("_mm", "view")
-
-    def __init__(self, mm: mmap.mmap) -> None:
-        self._mm = mm
-        self.view = memoryview(mm)
-
-    def __len__(self) -> int:
-        return len(self.view)
-
-    def tobytes(self) -> bytes:
-        return self.view.tobytes()
-
-    def close(self) -> None:
-        try:
-            self.view.release()
-        finally:
-            self._mm.close()
+#: Identity fields every history line carries.
+_HISTORY_FIELDS = ("workload", "workload_fingerprint", "config_digest",
+                   "code_fingerprint", "schema_version")
 
 
 class ReportIdentity(dict):
     """The (workload, config, code, schema) tuple as a plain dict.
 
     A dict subclass rather than a dataclass so it drops straight into
-    JSON envelopes and wire payloads; :meth:`key` is the content hash
-    the store files it under.
+    JSON rows and wire payloads; :meth:`key` is the content hash the
+    store files it under.
     """
 
     def key(self) -> str:
@@ -128,274 +96,137 @@ def report_identity(spec: WorkloadSpec, config, *,
     )
 
 
-class ReportStoreBase(abc.ABC):
-    """The report-store contract every backend implements.
-
-    The daemon, the fleet coordinator, and the CLI speak only this
-    surface, so file and sqlite stores are interchangeable —
-    ``tests/test_store_backends.py`` runs one shared contract suite
-    against both.  ``get_bytes`` may return a zero-copy
-    :class:`MappedBody` or plain ``bytes``; callers must handle both.
-    """
-
-    #: Registry name (see :mod:`repro.fleet.backends`).
-    backend_name = "abstract"
-
-    @abc.abstractmethod
-    def get(self, key: str) -> dict | None:
-        """The stored report JSON, or ``None`` on any kind of miss."""
-
-    @abc.abstractmethod
-    def get_envelope(self, key: str) -> dict | None:
-        """The raw envelope (identity + report), for diagnostics."""
-
-    @abc.abstractmethod
-    def put(self, identity: "ReportIdentity", report_json: dict,
-            *, job_id: str | None = None) -> str:
-        """Store one report atomically; returns its key."""
-
-    @abc.abstractmethod
-    def get_bytes(self, key: str):
-        """Serialized report response bytes (``MappedBody | bytes | None``)."""
-
-    @abc.abstractmethod
-    def put_trace(self, job_id: str, payload: dict) -> None:
-        """Persist one job's distributed-trace payload."""
-
-    @abc.abstractmethod
-    def get_trace(self, job_id: str) -> dict | None:
-        """The stored trace for a job id, or ``None``."""
-
-    @abc.abstractmethod
-    def history(self, workload: str | None = None) -> list[dict]:
-        """Run history, oldest first, optionally for one workload."""
-
-    @abc.abstractmethod
-    def stats(self) -> dict:
-        """``{"reports": n, "bytes": n}`` storage accounting."""
-
-    @abc.abstractmethod
-    def prune(self, max_bytes: int) -> dict:
-        """Evict least-recently-stored reports until under the budget."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of stored reports."""
-
-    def contains(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def close(self) -> None:
-        """Release backend resources (no-op for file backends)."""
-
-    @staticmethod
-    def check_stamp(report_json: dict) -> None:
-        """Refuse reports without a ``schema_version`` stamp — the
-        store must never archive data the differ would later reject as
-        being of unknown vintage."""
-        if "schema_version" not in report_json:
-            raise ValueError(
-                "refusing to store a report without a schema_version "
-                "stamp (see repro.core.jsonio.report_to_json)")
-
-
-class ReportStore(ReportStoreBase):
-    """Keyed report archive shared by the daemon's worker threads."""
-
-    backend_name = "file"
+class ReportStore:
+    """Keyed report archive shared by the daemon's threads."""
 
     def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = pathlib.Path(directory)
         self._lock = threading.Lock()
-        #: Keys this process has stored or verified on disk — the fast
-        #: path for the per-submit duplicate check.  Only ever holds
-        #: keys that passed the full ``get`` validation, so a hit is as
-        #: trustworthy as a disk read; pruning evicts entries.
-        self._verified: set[str] = set()
+        self._conn = connect(directory, "store.db")
+        (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+        if version != STORE_SCHEMA_VERSION:
+            self._conn.executescript(
+                "DROP TABLE IF EXISTS reports;"
+                f"PRAGMA user_version = {STORE_SCHEMA_VERSION};")
+        self._conn.executescript(
+            "CREATE TABLE IF NOT EXISTS reports ("
+            "  key TEXT PRIMARY KEY,"
+            "  identity TEXT NOT NULL,"
+            "  job_id TEXT,"
+            "  body BLOB NOT NULL);"
+            "CREATE TABLE IF NOT EXISTS traces ("
+            "  job_id TEXT PRIMARY KEY,"
+            "  payload TEXT NOT NULL);"
+            "CREATE TABLE IF NOT EXISTS history ("
+            "  seq INTEGER PRIMARY KEY,"
+            "  line TEXT NOT NULL);")
+        self._conn.commit()
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.directory / key[:2] / f"{key}.json"
+    def close(self) -> None:
+        self._conn.close()
 
-    def _body_path(self, key: str) -> pathlib.Path:
-        return self.directory / key[:2] / f"{key}.body.json"
-
-    @property
-    def history_path(self) -> pathlib.Path:
-        return self.directory / "history.jsonl"
+    def _one(self, sql: str, params: tuple):
+        with self._lock:
+            return self._conn.execute(sql, params).fetchone()
 
     # ------------------------------------------------------------------
     def contains(self, key: str) -> bool:
-        if key in self._verified:
-            return True
-        if self.get(key) is not None:
-            self._verified.add(key)
-            return True
-        return False
+        return self._one("SELECT 1 FROM reports WHERE key = ?",
+                         (key,)) is not None
+
+    def get_bytes(self, key: str) -> bytes | None:
+        """The serialized report response, exactly as ``put`` wrote it,
+        or ``None`` for a miss."""
+        row = self._one("SELECT body FROM reports WHERE key = ?", (key,))
+        return None if row is None else bytes(row[0])
 
     def get(self, key: str) -> dict | None:
         """The stored report JSON, or ``None``.
 
-        Corrupt envelopes, foreign store schemas, and reports without
-        a ``schema_version`` stamp all read as misses — the submission
-        re-runs rather than trusting unversioned data.
+        Unreadable bytes and reports without a ``schema_version`` stamp
+        read as misses — the submission re-runs rather than trusting
+        unversioned data.
         """
+        body = self.get_bytes(key)
+        if body is None:
+            return None
         try:
-            envelope = json.loads(self._path(key).read_text())
-        except (OSError, ValueError):
+            report = json.loads(body)
+        except ValueError:
             return None
-        if not isinstance(envelope, dict):
-            return None
-        if envelope.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        report = envelope.get("report")
         if not isinstance(report, dict) or "schema_version" not in report:
             return None
-        return decode_tree(report)
-
-    def get_envelope(self, key: str) -> dict | None:
-        """The raw envelope (identity + report), for diagnostics."""
-        try:
-            envelope = json.loads(self._path(key).read_text())
-        except (OSError, ValueError):
-            return None
-        return envelope if isinstance(envelope, dict) else None
+        return report
 
     def put(self, identity: ReportIdentity, report_json: dict,
             *, job_id: str | None = None) -> str:
-        """Store one report atomically; returns its key.
+        """Store one report and its history line atomically; returns
+        its key.
 
         Refuses reports without a ``schema_version`` stamp — the store
         must never archive data the differ would later reject as
         being of unknown vintage.
         """
-        self.check_stamp(report_json)
+        if "schema_version" not in report_json:
+            raise ValueError(
+                "refusing to store a report without a schema_version "
+                "stamp (see repro.core.jsonio.report_to_json)")
         key = identity.key()
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Body segment first: the envelope's body_bytes stamp is the
-        # validity witness, so the envelope must never land before the
-        # bytes it vouches for.
         body = json.dumps(report_json, indent=2).encode()
-        self._write_atomic(self._body_path(key), body)
-        envelope = {
-            "schema": STORE_SCHEMA_VERSION,
-            "key": key,
-            "identity": dict(identity),
-            "job_id": job_id,
-            "body_bytes": len(body),
-            "report": encode_tree(report_json),
-        }
-        self._write_atomic(path, json.dumps(envelope).encode())
-        self._append_history(key, identity, job_id)
-        self._verified.add(key)
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO reports (key, identity, job_id, body)"
+                " VALUES (?, ?, ?, ?)",
+                (key, canonical_json(dict(identity)), job_id, body))
+            # Lines are numbered from 0, so the next line's number is
+            # the highest row key (an index lookup, not a count).
+            (seq,) = self._conn.execute(
+                "SELECT COALESCE(MAX(seq), 0) FROM history").fetchone()
+            line = canonical_json({
+                "seq": seq, "key": key, "job_id": job_id,
+                **{k: identity[k] for k in _HISTORY_FIELDS}})
+            self._conn.execute(
+                "INSERT INTO history (seq, line) VALUES (?, ?)",
+                (seq + 1, line))
+            self._conn.commit()
         return key
-
-    @staticmethod
-    def _write_atomic(path: pathlib.Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fp:
-                fp.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def get_bytes(self, key: str) -> MappedBody | bytes | None:
-        """The serialized report response, served without decoding.
-
-        Maps the body segment when its size matches the envelope's
-        ``body_bytes`` stamp (zero-copy); a missing or torn segment
-        falls back to decoding the envelope payload and re-serializing
-        — same bytes, just slower.  ``None`` only when the key itself
-        is a miss.
-        """
-        envelope = self.get_envelope(key)
-        if (isinstance(envelope, dict)
-                and envelope.get("schema") == STORE_SCHEMA_VERSION
-                and isinstance(envelope.get("body_bytes"), int)):
-            try:
-                with open(self._body_path(key), "rb") as fp:
-                    mm = mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError):
-                mm = None
-            if mm is not None:
-                if len(mm) == envelope["body_bytes"]:
-                    return MappedBody(mm)
-                mm.close()
-        report = self.get(key)
-        if report is None:
-            return None
-        return json.dumps(report, indent=2).encode()
 
     # ------------------------------------------------------------------
     # Traces: one distributed-trace payload per executed job, keyed by
-    # job id (the link the issue names: request span ↔ executor spans).
+    # job id (the link between a request span and its executor spans).
     # Traces are tool-side artifacts — they live beside the reports,
     # never inside them, so report bytes and keys are trace-oblivious.
     # ------------------------------------------------------------------
-    def _trace_path(self, job_id: str) -> pathlib.Path:
-        return self.directory / "traces" / f"{job_id}.json"
-
     def put_trace(self, job_id: str, payload: dict) -> None:
-        """Persist one job's trace payload atomically."""
-        path = self._trace_path(job_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fp:
-                json.dump(payload, fp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Persist one job's trace payload."""
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO traces (job_id, payload) "
+                "VALUES (?, ?)", (job_id, json.dumps(payload)))
+            self._conn.commit()
 
     def get_trace(self, job_id: str) -> dict | None:
         """The stored trace for a job id, or ``None``."""
+        row = self._one("SELECT payload FROM traces WHERE job_id = ?",
+                        (job_id,))
+        if row is None:
+            return None
         try:
-            payload = json.loads(self._trace_path(job_id).read_text())
-        except (OSError, ValueError):
+            payload = json.loads(row[0])
+        except ValueError:
             return None
         return payload if isinstance(payload, dict) else None
 
     # ------------------------------------------------------------------
-    def _append_history(self, key: str, identity: ReportIdentity,
-                        job_id: str | None) -> None:
-        with self._lock:
-            seq = sum(1 for _ in self._history_lines())
-            line = canonical_json({
-                "seq": seq,
-                "key": key,
-                "job_id": job_id,
-                **{k: identity[k] for k in
-                   ("workload", "workload_fingerprint", "config_digest",
-                    "code_fingerprint", "schema_version")},
-            })
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self.history_path, "a") as fp:
-                fp.write(line + "\n")
-
-    def _history_lines(self):
-        try:
-            with open(self.history_path) as fp:
-                yield from fp
-        except OSError:
-            return
-
     def history(self, workload: str | None = None) -> list[dict]:
         """Run history, oldest first, optionally for one workload name.
 
-        A truncated trailing line (a crash mid-append) is skipped, not
-        an error — the report itself was stored atomically either way.
+        An unreadable line is skipped, not an error.
         """
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT line FROM history ORDER BY seq").fetchall()
         entries: list[dict] = []
-        for line in self._history_lines():
+        for (line,) in rows:
             try:
                 entry = json.loads(line)
             except ValueError:
@@ -404,101 +235,6 @@ class ReportStore(ReportStoreBase):
                 entries.append(entry)
         return entries
 
-    # ------------------------------------------------------------------
-    # Size accounting and pruning
-    # ------------------------------------------------------------------
-    def _entries(self) -> list[tuple[float, str, int]]:
-        """(mtime, key, bytes) per stored report — envelope *and* body.
-
-        The body segment is the dominant cost of an entry (it holds the
-        full serialized report, resident in the page cache while
-        mapped), so it must count toward the entry's footprint or the
-        prune budget silently under-measures by roughly half.
-        """
-        if not self.directory.is_dir():
-            return []
-        entries = []
-        for path in self.directory.glob("*/*.json"):
-            if path.parent.name == "traces" or path.name.endswith(".body.json"):
-                continue
-            key = path.stem
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            nbytes = stat.st_size
-            try:
-                nbytes += self._body_path(key).stat().st_size
-            except OSError:
-                pass
-            entries.append((stat.st_mtime, key, nbytes))
-        return entries
-
-    def stats(self) -> dict:
-        """Report count and on-disk footprint (envelopes + bodies)."""
-        entries = self._entries()
-        return {
-            "reports": len(entries),
-            "bytes": sum(nbytes for _, _, nbytes in entries),
-        }
-
-    def prune(self, max_bytes: int) -> dict:
-        """Evict least-recently-stored reports until under ``max_bytes``.
-
-        Both files of an entry go together — an orphaned body segment
-        would hold page-cache-resident report bytes that no key can
-        reach.  Stray ``*.tmp`` files (crash debris from interrupted
-        atomic writes) and bodies whose envelope is gone are removed
-        unconditionally.  Traces and history are never touched.
-        """
-        with self._lock:
-            removed = 0
-            freed = 0
-            entries = sorted(self._entries(), reverse=True)  # newest first
-            kept_keys = set()
-            total = 0
-            for mtime, key, nbytes in entries:
-                if total + nbytes <= max_bytes:
-                    total += nbytes
-                    kept_keys.add(key)
-                    continue
-                self._verified.discard(key)
-                for path in (self._path(key), self._body_path(key)):
-                    try:
-                        freed += path.stat().st_size
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-            if self.directory.is_dir():
-                for path in self.directory.glob("*/*"):
-                    if path.parent.name == "traces":
-                        continue
-                    orphan_body = (path.name.endswith(".body.json")
-                                   and path.name[:-len(".body.json")]
-                                   not in kept_keys)
-                    if path.suffix == ".tmp" or orphan_body:
-                        try:
-                            freed += path.stat().st_size
-                            path.unlink()
-                            removed += 1
-                        except OSError:
-                            pass
-            return {
-                "removed": removed,
-                "freed_bytes": freed,
-                "reports": len(kept_keys),
-                "bytes": total,
-            }
-
     def __len__(self) -> int:
         """Number of stored *reports* (traces live beside, not within)."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for path in self.directory.glob("*/*.json")
-                   if path.parent.name != "traces"
-                   and not path.name.endswith(".body.json"))
-
-
-#: Explicit backend-flavoured name for the atomic-file store.
-FileReportStore = ReportStore
+        return self._one("SELECT COUNT(*) FROM reports", ())[0]

@@ -228,9 +228,9 @@ class TestProcessHygiene:
         assert after["frames"] <= intern_frame.cache_info().maxsize
 
     def test_claim_stamps_queue_latency(self, tmp_path):
-        from repro.fleet.backends import make_queue
+        from repro.service.queue import JobQueue
 
-        queue = make_queue("file", tmp_path / "queue")
+        queue = JobQueue(tmp_path / "queue")
         job = queue.submit("fuzzed", {"seed": 1}, {}, "key-1")
         assert job.claimed is None
         claimed = queue.claim_next(worker="w-1", lease_seconds=30.0)

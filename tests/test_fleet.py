@@ -304,12 +304,9 @@ class TestClientRetries:
 # Coordinator protocol over HTTP: pull, execute, push, stitch
 # ----------------------------------------------------------------------
 class TestFleetEndToEnd:
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_worker_report_is_byte_identical_to_serial(self, tmp_path,
-                                                       backend):
+    def test_worker_report_is_byte_identical_to_serial(self, tmp_path):
         serial = _serial_json(APP, PARAMS)
-        with running_daemon(tmp_path / "svc", workers=0,
-                            backend=backend) as (client, _):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, _):
             job = client.submit(APP, PARAMS)["job"]
             node, thread = _run_worker(client.base_url, "w1", max_jobs=1)
             thread.join(60)
@@ -594,6 +591,39 @@ class TestCoordinatorUnits:
         assert events[0][2] == {"worker": "w1", "version": 7, "final": True}
         fleet.register("w2")
         assert fleet.pull("w2") is None  # nothing left to run
+
+    def test_crash_between_report_commit_and_mark_done(self, tmp_path):
+        # complete() commits the report to the store before the queue
+        # marks the job done.  A crash between the two commits must
+        # lose nothing and run nothing twice.
+        queue, store, fleet = self._fixture(tmp_path, lease_seconds=0.2)
+        job, identity = self._submit_real(queue)
+        fleet.register("w1")
+        assert fleet.pull("w1").id == job.id
+        store.put(identity, {"schema_version": 1, "workload": APP},
+                  job_id=job.id)
+        committed = store.get_bytes(identity.key())
+        queue.close()  # the process dies before mark_done
+        store.close()
+        del fleet
+
+        events = []
+        queue, store, fleet = self._fixture(
+            tmp_path, lease_seconds=0.2,
+            publish=lambda job_id, name, **fields: events.append(
+                (name, fields)))
+        time.sleep(0.25)  # the dead worker's lease runs out
+        fleet.expire()
+        fleet.register("w2")
+        assert fleet.pull("w2") is None
+        record = queue.get(job.id)
+        assert record.state == DONE
+        assert record.report_key == identity.key()
+        # Resolved from the stored report; never leased to a worker.
+        assert "job.leased" not in [name for name, _ in events]
+        assert events[-1] == ("job.done", {"report_key": identity.key(),
+                                           "served_from": "store"})
+        assert store.get_bytes(identity.key()) == committed
 
     def test_pull_touches_only_pending_and_running_jobs(self, tmp_path):
         queue, _, fleet = self._fixture(tmp_path)

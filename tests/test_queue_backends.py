@@ -1,10 +1,7 @@
-"""Shared contract suite for job-queue backends (`repro.service.queue`,
-`repro.service.sqlite`).
+"""Contract suite for the job queue (`repro.service.queue.JobQueue`).
 
-Every test in :class:`TestQueueContract` runs against *both* registered
-backends — the atomic-file default and the sqlite/WAL implementation —
-so behavioural parity is enforced, not assumed.  The contract covers
-what the daemon and the fleet coordinator actually rely on:
+The contract covers what the daemon and the fleet coordinator
+actually rely on:
 
 * crash/restart recovery — local (``worker=None``) claims requeue
   immediately on reopen, remote leases survive until they expire;
@@ -21,24 +18,19 @@ import time
 
 import pytest
 
-from repro.fleet.backends import backend_names, make_queue
-from repro.service.queue import DONE, FAILED, RUNNING, SUBMITTED
-
-BACKENDS = backend_names()
+from repro.service.queue import DONE, FAILED, RUNNING, SUBMITTED, JobQueue
 
 
-@pytest.fixture(params=BACKENDS)
-def queue_factory(request, tmp_path):
-    """Reopenable factory for one backend over one directory."""
-    backend = request.param
+@pytest.fixture
+def queue_factory(tmp_path):
+    """Reopenable factory over one queue directory."""
     opened = []
 
     def factory():
-        queue = make_queue(backend, tmp_path / "queue")
+        queue = JobQueue(tmp_path / "queue")
         opened.append(queue)
         return queue
 
-    factory.backend = backend
     yield factory
     for queue in opened:
         queue.close()
@@ -51,9 +43,6 @@ def _submit(queue, n=1, key=None):
 
 
 class TestQueueContract:
-    def test_registry_names_both_backends(self):
-        assert {"file", "sqlite"} <= set(BACKENDS)
-
     def test_lifecycle_persists_across_reopen(self, queue_factory):
         queue = queue_factory()
         (job,) = _submit(queue)

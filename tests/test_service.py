@@ -16,8 +16,11 @@ The contracts that keep the daemon honest:
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
+import sqlite3
+import subprocess
 import sys
 import threading
 import time
@@ -177,10 +180,12 @@ class TestJobQueue:
         job = reloaded.submit(APP, PARAMS, {}, "k")
         assert job.id == "job-000003"
 
-    def test_unreadable_job_file_is_skipped(self, tmp_path):
+    def test_unreadable_job_row_is_skipped(self, tmp_path):
         queue = JobQueue(tmp_path)
         self._submit(queue)
-        (tmp_path / "job-999999.json").write_text("{truncated")
+        with sqlite3.connect(tmp_path / "queue.db") as conn:
+            conn.execute("INSERT INTO jobs VALUES ('job-999999', "
+                         "'{truncated')")
         reloaded = JobQueue(tmp_path)
         assert len(reloaded) == 1
 
@@ -229,11 +234,10 @@ class TestReportStore:
     def test_foreign_envelope_reads_as_miss(self, tmp_path):
         store = ReportStore(tmp_path)
         key = store.put(self._identity(), {"schema_version": 1})
-        path = store._path(key)
-        envelope = json.loads(path.read_text())
-        envelope["schema"] = -1
-        path.write_text(json.dumps(envelope))
-        assert store.get(key) is None
+        store.close()
+        with sqlite3.connect(tmp_path / "store.db") as conn:
+            conn.execute("PRAGMA user_version = -1")
+        assert ReportStore(tmp_path).get(key) is None
 
     def test_history_filters_by_workload(self, tmp_path):
         store = ReportStore(tmp_path)
@@ -248,8 +252,9 @@ class TestReportStore:
     def test_truncated_history_line_is_skipped(self, tmp_path):
         store = ReportStore(tmp_path)
         store.put(self._identity(), {"schema_version": 1})
-        with open(store.history_path, "a") as fp:
-            fp.write('{"seq": 1, "workload":')  # crash mid-append
+        with sqlite3.connect(tmp_path / "store.db") as conn:
+            conn.execute("INSERT INTO history VALUES (2, ?)",
+                         ('{"seq": 1, "workload":',))
         assert len(store.history()) == 1
 
 
@@ -650,6 +655,49 @@ class TestDaemonValidation:
             client.health()
 
 
+class TestRetiredFileBackend:
+    """A data directory the file backend wrote holds its jobs as
+    ``queue/job-*.json``; opening it must refuse, never start an empty
+    queue beside jobs that would then never run."""
+
+    def _legacy_dir(self, tmp_path):
+        data_dir = tmp_path / "svc"
+        (data_dir / "queue").mkdir(parents=True)
+        (data_dir / "queue" / "job-000001.json").write_text(json.dumps(
+            {"id": "job-000001", "workload": APP, "params": PARAMS,
+             "config": {}, "report_key": "k", "state": SUBMITTED}))
+        return data_dir
+
+    def test_daemon_refuses_a_file_backend_queue(self, tmp_path):
+        data_dir = self._legacy_dir(tmp_path)
+        with pytest.raises(ValueError, match="job-\\*.json"):
+            ServiceDaemon(data_dir, workers=0)
+        assert not (data_dir / "queue" / "queue.db").exists()
+
+    def test_serve_exits_with_one_line_naming_the_directory(self, tmp_path):
+        data_dir = self._legacy_dir(tmp_path)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.core.cli", "serve", "--port", "0",
+             "--data-dir", str(data_dir)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert str(data_dir / "queue") in lines[0]
+
+    def test_backend_flag_accepts_only_sqlite(self, capsys):
+        from repro.core.cli import build_parser
+
+        args = build_parser().parse_args(["serve"])
+        assert args.backend == "sqlite"
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "--backend", "file"])
+        assert info.value.code == 2
+        assert "invalid choice: 'file'" in capsys.readouterr().err
+
+
 class TestDiffEndpoint:
     def _two_reports(self, client):
         base = client.wait(client.submit(APP, PARAMS)["job"]["id"])
@@ -683,10 +731,12 @@ class TestDiffEndpoint:
         key_a, key_b = self._two_reports(client)
         # An old stored report (different schema stamp) must refuse
         # loudly instead of diffing garbage.
-        path = daemon.store._path(key_b)
-        envelope = json.loads(path.read_text())
-        envelope["report"]["schema_version"] = 999
-        path.write_text(json.dumps(envelope))
+        report_b = client.report(key_b)
+        report_b["schema_version"] = 999
+        with sqlite3.connect(pathlib.Path(daemon.data_dir, "store",
+                                          "store.db")) as conn:
+            conn.execute("UPDATE reports SET body = ? WHERE key = ?",
+                         (json.dumps(report_b, indent=2).encode(), key_b))
         with pytest.raises(ServiceError,
                            match="schema") as info:
             client.diff(key_a, key_b)

@@ -1,26 +1,25 @@
-"""Shared contract suite for report-store backends
-(`repro.service.store`, `repro.service.sqlite`).
+"""Contract suite for the report store (`repro.service.store.ReportStore`).
 
-Runs against both registered backends.  The load-bearing clause is
-byte identity: ``get_bytes`` must return exactly
-``json.dumps(report, indent=2).encode()`` as written at put time, on
-every backend — that is what makes a report fetched from a sqlite
-coordinator byte-identical to one fetched from a file coordinator,
-and both identical to the serial CLI.
+The load-bearing clause is byte identity: ``get_bytes`` must return
+exactly ``json.dumps(report, indent=2).encode()`` as written at put
+time, and ``get`` its ``json.loads`` — that is what makes a report
+fetched from the service byte-identical to the serial CLI.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.core.diogenes import DiogenesConfig
 from repro.exec.jobs import WorkloadSpec
-from repro.fleet.backends import backend_names, make_store
-from repro.service.store import report_identity
-
-BACKENDS = backend_names()
+from repro.service.store import (
+    STORE_SCHEMA_VERSION,
+    ReportStore,
+    report_identity,
+)
 
 APP = "synthetic-unnecessary-sync"
 
@@ -33,29 +32,26 @@ def _identity(name=APP, params=None):
     return report_identity(spec, DiogenesConfig())
 
 
-@pytest.fixture(params=BACKENDS)
-def store_factory(request, tmp_path):
-    backend = request.param
+@pytest.fixture
+def store_factory(tmp_path):
     opened = []
 
     def factory():
-        store = make_store(backend, tmp_path / "store")
+        store = ReportStore(tmp_path / "store")
         opened.append(store)
         return store
 
-    factory.backend = backend
+    factory.db = tmp_path / "store" / "store.db"
     yield factory
     for store in opened:
         store.close()
 
 
-def _raw_bytes(raw):
-    """Materialise a ``get_bytes`` result (mmap-backed or plain)."""
-    if hasattr(raw, "view"):
-        data = bytes(raw.view)
-        raw.close()
-        return data
-    return bytes(raw)
+def _tamper(store_factory, sql, *params):
+    """Rewrite the store's database from outside, as a crash or an
+    older release would leave it."""
+    with sqlite3.connect(store_factory.db) as conn:
+        conn.execute(sql, params)
 
 
 REPORT = {"schema_version": 1, "workload": APP,
@@ -77,27 +73,73 @@ class TestStoreContract:
     def test_get_bytes_is_exact_put_time_encoding(self, store_factory):
         store = store_factory()
         key = store.put(_identity(), REPORT)
-        raw = store.get_bytes(key)
         expected = json.dumps(REPORT, indent=2).encode()
-        assert _raw_bytes(raw) == expected
+        assert store.get_bytes(key) == expected
+        assert store.get(key) == json.loads(expected)
         assert store.get_bytes("missing") is None
+
+    def test_row_holds_the_report_once(self, store_factory):
+        store = store_factory()
+        identity = _identity()
+        key = store.put(identity, REPORT, job_id="job-000007")
+        with sqlite3.connect(store_factory.db) as conn:
+            (row,) = conn.execute("SELECT * FROM reports").fetchall()
+        # Key, identity, job id and the response bytes; no second,
+        # encoded copy of the report.
+        stored_key, stored_identity, job_id, body = row
+        assert (stored_key, json.loads(stored_identity), job_id, body) == (
+            key, dict(identity), "job-000007",
+            json.dumps(REPORT, indent=2).encode())
+
+    def test_missing_key_is_a_miss(self, store_factory):
+        store = store_factory()
+        assert store.get("0" * 40) is None
+        assert store.get_bytes("0" * 40) is None
+        assert not store.contains("0" * 40)
 
     def test_refuses_unstamped_report(self, store_factory):
         store = store_factory()
         with pytest.raises(ValueError, match="schema_version"):
             store.put(_identity(), {"workload": APP})
         assert len(store) == 0
+        assert store.history() == []
 
-    def test_envelope_carries_identity_and_size(self, store_factory):
+    @staticmethod
+    def _get_with_body(store_factory, body):
         store = store_factory()
-        identity = _identity()
-        key = store.put(identity, REPORT, job_id="job-000007")
-        envelope = store.get_envelope(key)
-        assert envelope["key"] == key
-        assert envelope["identity"] == dict(identity)
-        assert envelope["job_id"] == "job-000007"
-        assert envelope["body_bytes"] == \
-            len(json.dumps(REPORT, indent=2).encode())
+        key = store.put(_identity(), REPORT)
+        _tamper(store_factory,
+                "UPDATE reports SET body = ? WHERE key = ?", body, key)
+        return store.get(key)
+
+    def test_unreadable_body_is_a_miss(self, store_factory):
+        assert self._get_with_body(store_factory, b"{trunc") is None
+
+    def test_non_dict_body_is_a_miss(self, store_factory):
+        assert self._get_with_body(store_factory, b"[1, 2, 3]") is None
+
+    def test_unstamped_body_is_a_miss(self, store_factory):
+        assert self._get_with_body(
+            store_factory, b'{"workload": "app"}') is None
+
+    def test_foreign_store_schema_is_a_miss(self, store_factory):
+        store = store_factory()
+        key = store.put(_identity(), REPORT, job_id="job-000001")
+        store.put_trace("job-000001", {"trace_id": "t1"})
+        store.close()
+        _tamper(store_factory,
+                f"PRAGMA user_version = {STORE_SCHEMA_VERSION - 1}")
+        reopened = store_factory()
+        assert reopened.get(key) is None
+        assert reopened.get_bytes(key) is None
+        assert not reopened.contains(key)
+        assert len(reopened) == 0
+        # Only reports are dropped; traces and history are kept.
+        assert reopened.get_trace("job-000001") == {"trace_id": "t1"}
+        assert [e["key"] for e in reopened.history()] == [key]
+        # The re-run stores afresh under the current schema.
+        reopened.put(_identity(), REPORT)
+        assert store_factory().get(key) == REPORT
 
     def test_persists_across_reopen(self, store_factory):
         store = store_factory()
@@ -109,6 +151,11 @@ class TestStoreContract:
         assert reloaded.get_trace("job-000001")["trace_id"] == "t1"
         (entry,) = reloaded.history()
         assert entry["key"] == key
+        # History numbering continues across the reopen: 0-based and
+        # contiguous.
+        reloaded.put(_identity("synthetic-quiet", {}), {"schema_version": 1})
+        reloaded.put(_identity(), REPORT)
+        assert [e["seq"] for e in store_factory().history()] == [0, 1, 2]
 
     def test_history_records_and_filters(self, store_factory):
         store = store_factory()
@@ -138,21 +185,10 @@ class TestStoreContract:
         assert store.get_trace("job-000009") == payload
         assert store.get_trace("job-missing") is None
 
-    def test_stats_and_prune_keep_newest(self, store_factory):
+    def test_len_counts_reports_not_traces(self, store_factory):
         store = store_factory()
-        keys = []
-        for i in range(4):
-            identity = _identity(params={"iterations": 4 + i})
-            keys.append(store.put(identity,
-                                  {"schema_version": 1, "i": i,
-                                   "pad": "x" * 2000}))
-        stats = store.stats()
-        assert stats["reports"] == 4 and stats["bytes"] > 0
-        per_report = stats["bytes"] // 4
-        result = store.prune(max_bytes=per_report * 2 + per_report // 2)
-        assert result["reports"] == 2 and result["removed"] > 0
-        # Newest survive; evicted keys read as misses again.
-        assert store.contains(keys[-1]) and store.contains(keys[-2])
-        assert not store.contains(keys[0]) and not store.contains(keys[1])
+        assert len(store) == 0
+        store.put(_identity(), REPORT)
+        store.put(_identity("synthetic-quiet", {}), {"schema_version": 1})
+        store.put_trace("job-1", {"spans": []})
         assert len(store) == 2
-        assert len(store.history()) == 4  # history untouched
