@@ -117,7 +117,7 @@ def _start_workers(url: str, count: int) -> list[subprocess.Popen]:
     return [
         subprocess.Popen(
             [sys.executable, "-m", "repro.core.cli", "worker",
-             "--coordinator", url, "--id", f"bench-w{i}", "--no-cache",
+             "--coordinator", url, "--id", f"bench-w{i}",
              "--poll-interval", "0.5"],
             env=_subprocess_env(), stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)

@@ -105,7 +105,7 @@ def main() -> int:
 
         # Worker 1 takes the first job, then dies mid-lease.
         w1 = _spawn(_cli("worker", "--coordinator", url, "--id", "smoke-w1",
-                         "--no-cache", "--poll-interval", "0.1"))
+                         "--poll-interval", "0.1"))
         procs.append(w1)
         victim = None
         deadline = time.monotonic() + 60
@@ -122,7 +122,7 @@ def main() -> int:
               f"(attempt {victim['attempts']})")
 
         w2 = _spawn(_cli("worker", "--coordinator", url, "--id", "smoke-w2",
-                         "--no-cache", "--poll-interval", "0.1"))
+                         "--poll-interval", "0.1"))
         procs.append(w2)
 
         finals = {stem: client.wait(job["id"], timeout=300)

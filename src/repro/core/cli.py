@@ -127,18 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8123)
     serve.add_argument("--data-dir", default=".dio-service", metavar="DIR",
-                       help="job queue, report store, and stage cache home "
+                       help="job queue and report store home "
                             "(default: .dio-service)")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="slots of the in-process fleet node: concurrently "
                             "analysed submissions (default: 2; 0: none)")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="process fan-out per analysis (default: 1)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="stage-result cache (default: "
-                            "<data-dir>/stage-cache)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="run without a stage-result cache")
     serve.add_argument("--backend", default="sqlite", choices=["sqlite"],
                        help="queue/store persistence (sqlite, the only "
                             "backend; accepted for older scripts)")
@@ -166,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker id (default: <hostname>-<pid>)")
     worker.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="process fan-out per analysis (default: 1)")
-    worker.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="stage-result cache directory")
-    worker.add_argument("--no-cache", action="store_true",
-                        help="run without a stage-result cache")
     worker.add_argument("--poll-interval", type=float, default=0.2,
                         metavar="S",
                         help="idle wait between empty pulls (default: 0.2)")
@@ -183,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--param", dest="params", action="append", default=[],
                         metavar="KEY=VALUE")
     submit.add_argument("--force", action="store_true",
-                        help="re-run even when the report store has the "
-                             "result")
+                        help="re-run: the job is never answered from a "
+                             "report stored before it was submitted")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job finishes")
     submit.add_argument("--json", dest="json_path", default=None,
@@ -531,9 +522,7 @@ def _cmd_serve(args) -> int:
 
     try:
         daemon = ServiceDaemon(args.data_dir, workers=args.workers,
-                               jobs=args.jobs, cache_dir=args.cache_dir,
-                               use_cache=not args.no_cache,
-                               max_queue=args.max_queue,
+                               jobs=args.jobs, max_queue=args.max_queue,
                                lease_seconds=args.lease_seconds,
                                worker_ttl=args.worker_ttl)
     except ValueError as exc:
@@ -551,9 +540,7 @@ def _cmd_worker(args) -> int:
     from repro.fleet.worker import WorkerNode
 
     node = WorkerNode(args.coordinator, worker_id=args.worker_id,
-                      jobs=args.jobs, cache_dir=args.cache_dir,
-                      use_cache=not args.no_cache,
-                      poll_interval=args.poll_interval,
+                      jobs=args.jobs, poll_interval=args.poll_interval,
                       on_event=lambda name, **fields: print(
                           f"[{name}] " + " ".join(
                               f"{k}={v}" for k, v in fields.items()),

@@ -168,14 +168,12 @@ class StageExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_workload(self, spec: WorkloadSpec, config, *, tracer=None,
+    def run_workload(self, spec: WorkloadSpec, config, *,
                      on_event=None) -> dict[str, dict]:
         """Run one workload's full stage DAG; see :meth:`run_workloads`."""
-        return self.run_workloads([spec], config, tracer=tracer,
-                                  on_event=on_event)[spec]
+        return self.run_workloads([spec], config, on_event=on_event)[spec]
 
     def run_workloads(self, specs: list[WorkloadSpec], config, *,
-                      tracer=None,
                       on_event=None) -> dict[WorkloadSpec, dict[str, dict]]:
         """Run the stage DAG of every workload, fanned out together.
 
@@ -184,37 +182,33 @@ class StageExecutor:
         content-keyed, so the mapping is identical whatever order the
         pool completed the jobs in.
 
-        When a tracer is available — ``tracer`` explicitly (the service
-        daemon passes a per-job tracer) or the ambient session's — the
-        run is *distributed-traced*: each pool job carries a
-        :class:`~repro.obs.context.SpanContext` pointing at this run's
-        ``exec.run`` span plus a reserved span-id block, the worker
-        ships its spans back, and they are stitched here into one
-        connected timeline.  ``on_event``, when given, is called with a
-        plain dict after every job completion (the daemon's live-stream
-        feed).
+        Under the calling thread's observability session the run is
+        traced under an ``exec.run`` span.  Inline jobs record live
+        into that session.  Pool jobs are *distributed-traced*: each
+        carries a :class:`~repro.obs.context.SpanContext` pointing at
+        ``exec.run`` plus a reserved span-id block, the worker ships
+        its spans and ledger back, and they are stitched and merged
+        here into one connected timeline.  ``on_event``, when given,
+        is called with a plain dict after every job completion (the
+        service's live-stream feed).
         """
         config_json = config_to_json(config)
         plan = _stage_plan(config.split_sync_transfer_runs)
         runs = {spec: _WorkloadRun(spec=spec, plan=dict(plan))
                 for spec in specs}
-        inflight: dict[concurrent.futures.Future, tuple[WorkloadSpec, StageJob, str]] = {}
+        inflight: dict[concurrent.futures.Future, tuple[WorkloadSpec, StageJob, str | None]] = {}
 
-        ambient = obs.active().tracer if obs.is_enabled() else None
-        tr = tracer if tracer is not None else ambient
-        # A traced *inline* job would install its own collector over the
-        # caller's session; keep inline jobs live-recording on the
-        # ambient tracer and only ship contexts inline when the tracer
-        # was passed explicitly (daemon: per-job tracer != session).
-        trace_inline = tr is not None and tr is not ambient
+        # Held for the whole run: another thread may swap the
+        # process-wide session while this one runs.
+        session = obs.active()
+        tr = session.tracer if session is not None else None
         handle = (tr.span("exec.run", workloads=len(specs), jobs=self.jobs,
                           cached=self.cache is not None)
                   if tr is not None else obs.span("exec.run"))
         with handle as root:
-            parent_id = root.span_id if tr is not None else None
-            base_depth = root.depth + 1 if tr is not None else 0
-            stitch = {"tracer": tr, "parent_id": parent_id,
-                      "base_depth": base_depth, "trace_inline": trace_inline,
+            stitch = {"session": session,
+                      "parent_id": root.span_id if tr is not None else None,
+                      "base_depth": root.depth + 1 if tr is not None else 0,
                       "on_event": on_event}
             while True:
                 self._launch_ready(runs, config_json, inflight, stitch)
@@ -235,10 +229,12 @@ class StageExecutor:
         return {spec: run.results for spec, run in runs.items()}
 
     def _job_trace(self, stitch: dict, inline: bool) -> tuple | None:
-        """Wire trace context for one job, or ``None`` when untraced."""
-        tr = stitch["tracer"]
-        if tr is None or (inline and not stitch["trace_inline"]):
+        """Wire trace context for one pool job, or ``None`` (untraced
+        run, or an inline job already recording live)."""
+        session = stitch["session"]
+        if session is None or inline:
             return None
+        tr = session.tracer
         return (tr.trace_id, stitch["parent_id"], tr.reserve_ids(ID_BLOCK))
 
     # ------------------------------------------------------------------
@@ -263,8 +259,8 @@ class StageExecutor:
                                 for dep in run.plan[stage]},
                         trace=self._job_trace(stitch, inline),
                     )
-                    key = self.job_key(job)
-                    cached = self.cache.get(key) if self.cache else None
+                    key = self.job_key(job) if self.cache is not None else None
+                    cached = self.cache.get(key) if key is not None else None
                     if cached is not None:
                         self._record_result(
                             run, job, key,
@@ -281,26 +277,27 @@ class StageExecutor:
                         inflight[self._get_pool().submit(execute_job, job)] = (
                             spec, job, key)
 
-    def _record_result(self, run: _WorkloadRun, job: StageJob, key: str,
-                       result: JobResult, *, cache_hit: bool,
-                       stitch: dict) -> None:
+    def _record_result(self, run: _WorkloadRun, job: StageJob,
+                       key: str | None, result: JobResult, *,
+                       cache_hit: bool, stitch: dict) -> None:
         # ``result.data`` is the columnar wire/cache form: cache it
         # as-is, decode it for the scheduling state (input digests and
         # ``from_json`` loaders see exactly the classic row dicts).
         run.record(job.stage, decode_tree(result.data))
         if self.cache is not None and not cache_hit:
             self.cache.put(key, job.stage, job.workload.name, result.data)
-        tr = stitch["tracer"]
-        if tr is not None and result.spans is not None:
-            # Stitch the worker's shipped spans under this run's
-            # ``exec.run`` span.  Spans are never cached — a cache hit
-            # means no collection ran, so there is nothing to trace.
-            tr.adopt(decode_tree(result.spans),
-                     parent_id=stitch["parent_id"],
-                     base_depth=stitch["base_depth"])
-        if obs.is_enabled():
+        session = stitch["session"]
+        if session is not None:
+            if result.spans is not None:
+                # Stitch the worker's shipped spans under this run's
+                # ``exec.run`` span.  Spans are never cached — a cache
+                # hit means no collection ran, so there is nothing to
+                # trace.
+                session.tracer.adopt(decode_tree(result.spans),
+                                     parent_id=stitch["parent_id"],
+                                     base_depth=stitch["base_depth"])
             if result.overhead is not None:
-                obs.active().ledger.merge_json(result.overhead)
+                session.ledger.merge_json(result.overhead)
             obs.event("exec.job.done", stage=job.stage,
                       workload=job.workload.name, cache_hit=cache_hit,
                       wall_seconds=round(result.wall_seconds, 6))
@@ -310,17 +307,13 @@ class StageExecutor:
                 "workload": job.workload.name, "cache_hit": cache_hit,
                 "wall_seconds": round(result.wall_seconds, 6),
             })
-        job_span = (tr.span if tr is not None
-                    else obs.span if obs.is_enabled() else None)
-        if job_span is None:
+        if session is None:
             return
-        with job_span("exec.job", stage=job.stage,
-                      workload=job.workload.name,
-                      cache_hit=cache_hit, worker=result.worker_pid,
-                      worker_wall_seconds=round(result.wall_seconds, 6)):
+        with session.tracer.span(
+                "exec.job", stage=job.stage, workload=job.workload.name,
+                cache_hit=cache_hit, worker=result.worker_pid,
+                worker_wall_seconds=round(result.wall_seconds, 6)):
             pass
-        if not obs.is_enabled():
-            return
         if cache_hit:
             obs.count("exec.cache_hits", stage=job.stage)
         else:

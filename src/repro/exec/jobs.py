@@ -96,8 +96,8 @@ class StageJob:
     stage: str
     config: dict = field(hash=False)
     inputs: dict = field(default_factory=dict, hash=False)
-    #: Wire-form :class:`repro.obs.context.SpanContext` — present when
-    #: the submitting session is tracing.  Deliberately *not* part of
+    #: Wire-form :class:`repro.obs.context.SpanContext` — present on
+    #: the pool jobs of a traced run.  Deliberately *not* part of
     #: the cache key (:meth:`StageExecutor.job_key` enumerates exactly
     #: the measurement-relevant fields): trace ids identify tool runs,
     #: not measurement content.
@@ -179,9 +179,9 @@ def execute_job(job: StageJob) -> JobResult:
     record on the caller's live collector, while pool workers have
     theirs disabled by the executor's process initializer (a forked
     worker inherits the parent's collector and would otherwise record
-    into a copy nobody can read).  Jobs carrying a trace context run
-    under a local collector instead and ship their spans home — see
-    :func:`_execute_traced`.
+    into a copy nobody can read).  Pool jobs of a traced run carry a
+    trace context and run under a local collector instead, shipping
+    their spans home — see :func:`_execute_traced`.
     """
     if job.trace is not None:
         return _execute_traced(job)
@@ -208,9 +208,8 @@ def _execute_traced(job: StageJob) -> JobResult:
     root span; the finished spans travel back columnar-encoded in
     :attr:`JobResult.spans`, and the worker's perturbation ledger in
     :attr:`JobResult.overhead`, for the submitting session to stitch
-    and merge.  The local collector is scoped — installed for this job
-    only — so a traced inline job restores the caller's session on the
-    way out.
+    and merge.  Only pool jobs run here: inline jobs record live into
+    the caller's session.
     """
     import repro.obs as obs
     from repro.obs.context import SpanContext

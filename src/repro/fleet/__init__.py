@@ -9,7 +9,7 @@ the daemon's own ``--workers N`` node by direct calls.
 
 * :mod:`repro.fleet.ring` — consistent-hash ring: report keys map to
   owning workers, so a given submission always lands on the same node
-  (stage-cache locality + one layer of duplicate suppression);
+  (one layer of duplicate suppression);
 * :mod:`repro.fleet.coordinator` — coordinator-side state: the worker
   registry, lease accounting, cross-node duplicate suppression, and
   the trace stitcher that roots every pushed span batch under one

@@ -12,7 +12,8 @@ per submitted job (oldest first):
 
 1. **store dedup** — the report already exists (another node pushed it
    since submit time): the job is marked done on the spot, no
-   execution anywhere;
+   execution anywhere.  A ``force`` job skips this check: it was
+   submitted to re-run a report already stored;
 2. **in-flight dedup** — another running job carries the same report
    key: skipped, the eventual completion will resolve this one too;
 3. **ring ownership** — the key's consistent-hash owner
@@ -156,7 +157,7 @@ class FleetCoordinator:
         inflight = {job.report_key
                     for job in self.queue.jobs_in_state(RUNNING)}
         for job in self.queue.jobs_in_state(SUBMITTED):
-            if self.store.contains(job.report_key):
+            if not job.force and self.store.contains(job.report_key):
                 # Another execution pushed this report since submit
                 # time: resolve without running anything, observably.
                 self._resolve_from_store(job)

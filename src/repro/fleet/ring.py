@@ -2,13 +2,10 @@
 
 Report keys are already content hashes; the ring maps each key to an
 *owning* worker so repeated submissions of the same workload always
-execute on the same node.  That buys two things:
-
-* **locality** — the owner's stage cache already holds the upstream
-  stage payloads from the previous run of that workload;
-* **duplicate suppression** — two concurrent submissions of one key
-  cannot land on two nodes, because only the owner may pull them
-  (with a liveness fallback so a dead owner never strands a job).
+execute on the same node.  That buys **duplicate suppression**: two
+concurrent submissions of one key cannot land on two nodes, because
+only the owner may pull them (with a liveness fallback so a dead owner
+never strands a job).
 
 Standard construction: each node is hashed onto the ring at
 ``replicas`` virtual points (sha256 of ``"{node}#{i}"``); a key is

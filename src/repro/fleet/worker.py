@@ -4,9 +4,10 @@
 The worker is a *client* of the coordinator — same HTTP/JSON protocol,
 same :class:`~repro.service.client.ServiceClient` (so it inherits the
 client's backoff-and-retry behaviour for free) — and owns nothing
-durable except its stage cache: all queue and store state lives with
-the coordinator.  ``diogenes serve --workers N`` runs the same node
-in-process, N slots wide, over a :class:`LocalLink` instead of HTTP.
+durable: all queue and store state lives with the coordinator, whose
+report store is the service's one cache.  ``diogenes serve --workers
+N`` runs the same node in-process, N slots wide, over a
+:class:`LocalLink` instead of HTTP.
 
 Per job:
 
@@ -15,7 +16,9 @@ Per job:
    outlives any honest execution;
 3. the job runs through this node's own
    :class:`repro.exec.StageExecutor` under a ``fleet.worker.job`` span,
-   inside a per-job :func:`~repro.instr.stacks.interning_scope`;
+   inside a per-job :func:`~repro.instr.stacks.interning_scope` and a
+   per-job observability session (the job's own tracer over the
+   process session's metrics, ledger and log);
 4. the report plus the finished span batch go home via
    ``POST /fleet/complete``; failures (with their span batch) go via
    ``POST /fleet/fail``.
@@ -119,15 +122,16 @@ class WorkerNode:
     MIN_POLL_INTERVAL = 0.01
 
     def __init__(self, coordinator, *, worker_id: str | None = None,
-                 jobs: int = 1, cache_dir: str | os.PathLike | None = None,
-                 use_cache: bool = True, poll_interval: float = 0.2,
+                 jobs: int = 1, poll_interval: float = 0.2,
                  on_event=None) -> None:
         self.worker_id = worker_id or default_worker_id()
         self.client = (ServiceClient(coordinator)
                        if isinstance(coordinator, str) else coordinator)
-        self.executor = StageExecutor(jobs=jobs, cache_dir=cache_dir,
-                                      use_cache=use_cache)
+        self.executor = StageExecutor(jobs=jobs)
         self.poll_interval = poll_interval
+        #: The process session of jobs run where none is active
+        #: (``diogenes worker``).
+        self._session = obs.Observability()
         #: Lease duration, learned from the coordinator at register time.
         self.lease_seconds: float = 30.0
         #: Jobs :meth:`run` executed and pushed home.
@@ -213,13 +217,20 @@ class WorkerNode:
             else:
                 rolling["snapshot"] = snapshot
 
+        # The job's session, confined to this thread: its own tracer
+        # (the spans go home with the result) over the process
+        # session's metrics, ledger and log, so inline stages record
+        # live as under `diogenes run` and the ledger calibrates once.
+        base = obs.active() or self._session
+        session = obs.Observability(tracer=Tracer(), metrics=base.metrics,
+                                    ledger=base.ledger, log=base.log)
+        tracer = session.tracer
         stop_heartbeat = threading.Event()
         beats = threading.Thread(
             target=self._heartbeat_loop,
             args=(job_id, stop_heartbeat, rolling),
             name=f"heartbeat-{job_id}", daemon=True)
         beats.start()
-        tracer = Tracer()
         self._on_event("worker.job_started", job=job_id,
                        workload=job["workload"])
         on_stage = None
@@ -230,7 +241,7 @@ class WorkerNode:
         try:
             # Everything interned while the job runs is dropped with
             # the scope; the report leaves it as plain JSON.
-            with interning_scope():
+            with interning_scope(), obs.enabled(session):
                 config = config_from_json(job["config"])
                 spec = WorkloadSpec.from_params(job["workload"],
                                                 job["params"])
@@ -246,9 +257,8 @@ class WorkerNode:
                                  workload=job["workload"],
                                  worker=self.worker_id), \
                         subscribed(analyzer):
-                    results = self.executor.run_workloads(
-                        [spec], config, tracer=tracer,
-                        on_event=on_stage)[spec]
+                    results = self.executor.run_workload(
+                        spec, config, on_event=on_stage)
                     report = report_from_stage_results(
                         getattr(spec.create(), "name", spec.name),
                         results, config).to_json()

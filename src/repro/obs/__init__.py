@@ -126,10 +126,10 @@ class Observability:
 _ACTIVE: Observability | None = None
 
 #: Per-thread scoped override (see :func:`enabled`).  A scoped bundle
-#: is visible only to the thread that entered the scope: the service
-#: daemon runs each job under a job-local collector in a worker thread
-#: while its HTTP loop keeps recording metrics on the process session,
-#: and neither may clobber the other mid-span.
+#: is visible only to the thread that entered the scope: a fleet node
+#: runs each job under a job-local tracer in its slot thread while the
+#: daemon's HTTP loop keeps recording on the process session, and
+#: neither may clobber the other mid-span.
 _SCOPED = threading.local()
 
 
@@ -167,9 +167,9 @@ def enabled(obs: Observability | None = None):
     """Scoped :func:`enable`, confined to the calling thread.
 
     Restores the previous state on exit.  The override is thread-local
-    on purpose: a traced inline job installs its own collector without
+    on purpose: a service job installs its own tracer without
     disconnecting sessions owned by other threads (and without other
-    threads' metric traffic landing in the job's trace).
+    threads' spans landing in the job's trace).
     """
     previous = getattr(_SCOPED, "obs", None)
     bundle = obs if obs is not None else Observability()

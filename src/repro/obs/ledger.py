@@ -61,6 +61,7 @@ fingerprint-stable whether or not anyone was watching the watcher.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -163,6 +164,10 @@ class PerturbationLedger:
         self.cells: dict[tuple[str, str], LedgerCell] = {}
         #: Measured per-unit costs (seconds); empty until calibrated.
         self.calibration: dict[str, float] = {}
+        #: Loop length of the lazy calibration (:meth:`ensure_calibrated`).
+        self.iterations = iterations
+        # A service node's slot threads all charge the process ledger.
+        self._lock = threading.Lock()
         if calibrate:
             self.calibrate(iterations)
 
@@ -186,15 +191,17 @@ class PerturbationLedger:
         """Add ``seconds`` (and ``events`` occurrences) to an account."""
         if bucket not in BUCKETS:
             raise ValueError(f"unknown ledger bucket {bucket!r}")
-        cell = self.cells.get((stage, bucket))
-        if cell is None:
-            cell = self.cells[(stage, bucket)] = LedgerCell()
-        cell.add(seconds, events)
+        with self._lock:
+            cell = self.cells.get((stage, bucket))
+            if cell is None:
+                cell = self.cells[(stage, bucket)] = LedgerCell()
+            cell.add(seconds, events)
 
     def ensure_calibrated(self) -> None:
         """Calibrate lazily — first charge pays, later ones reuse."""
-        if not self.calibration:
-            self.calibrate()
+        with self._lock:
+            if not self.calibration:
+                self.calibrate(self.iterations)
 
     def charge_probe_hits(self, stage: str, hits: int) -> None:
         """Charge ``hits`` callback fires at the calibrated unit cost."""

@@ -3,13 +3,13 @@ pipeline.
 
 ``diogenes serve`` turns the one-shot CLI into a persistent service:
 clients submit (workload, params, config) tuples, fleet nodes run
-them through the existing :class:`repro.exec.StageExecutor` (and its
-content-addressed stage cache), and every finished
-:class:`~repro.core.diogenes.DiogenesReport` lands in the
+them through the existing :class:`repro.exec.StageExecutor`, and every
+finished :class:`~repro.core.diogenes.DiogenesReport` lands in the
 :class:`~repro.service.store.ReportStore` keyed by (workload
 fingerprint, config digest, code fingerprint).  A re-submission of an
 unchanged workload is answered from the store without executing a
-single stage job — the feed-forward loop, as a service.
+single stage job — the feed-forward loop, as a service.  The report
+store is the service's one cache: nodes keep no stage-result cache.
 
 ``--workers N`` runs one of those nodes in-process, N slots wide: it
 claims, leases, and completes through the same
@@ -56,9 +56,10 @@ sqlite database under the data directory; SIGTERM drains gracefully —
 in-flight jobs finish, queue state is already persisted per
 transition, and the process exits 0.
 
-Each executed job runs under its own per-job tracer (thread-confined,
-so concurrent slots never share span stacks) rooted at the node's
-``fleet.worker.job`` span; the coordinator stitches the finished batch
+Each executed job runs in its own thread-scoped observability session:
+a per-job tracer (so concurrent slots never share span stacks) rooted
+at the node's ``fleet.worker.job`` span, over the daemon's metrics,
+ledger and log; the coordinator stitches the finished batch
 under a ``service.job`` request span carrying the job id and persists
 the tree beside the report store, keyed by job id.  On any final
 ``job.failed`` the event ring is dumped to
@@ -126,18 +127,16 @@ class ServiceDaemon:
     """One long-lived analysis service over one data directory.
 
     ``data_dir`` holds everything the daemon persists: the job queue
-    (``queue/queue.db``), the report store (``store/store.db``), and —
-    unless a different ``cache_dir`` is given — the stage-result cache
-    (``stage-cache/``).  A ``queue/`` of the retired file backend
-    (``job-*.json``) is refused with a ``ValueError``, not ignored.
+    (``queue/queue.db``) and the report store (``store/store.db``).
+    A ``queue/`` of the retired file backend (``job-*.json``) is
+    refused with a ``ValueError``, not ignored.
     ``workers`` is the slot count of the in-process fleet node (0:
     none, a pure coordinator); ``jobs`` is the process fan-out each
     analysis may use (1 = inline in the slot thread).
     """
 
     def __init__(self, data_dir: str | os.PathLike, *, workers: int = 2,
-                 jobs: int = 1, cache_dir: str | os.PathLike | None = None,
-                 use_cache: bool = True, max_queue: int | None = None,
+                 jobs: int = 1, max_queue: int | None = None,
                  lease_seconds: float = 30.0,
                  worker_ttl: float | None = None) -> None:
         if workers < 0:
@@ -165,15 +164,11 @@ class ServiceDaemon:
         self._default_config = DiogenesConfig()
         self._default_config_json = config_to_json(self._default_config)
         self._default_config_digest = digest_json(self._default_config_json)
-        if cache_dir is None and use_cache:
-            cache_dir = os.path.join(self.data_dir, "stage-cache")
         #: Direct calls into the coordinator: the in-process node's
         #: transport, and what the ``/fleet/*`` routes decode onto.
         self.link = LocalLink(self.fleet, self._publish)
         #: The node the ``workers`` slots share (one id, one executor).
-        self.node = WorkerNode(
-            self.link, jobs=jobs, cache_dir=cache_dir,
-            use_cache=use_cache) if workers else None
+        self.node = WorkerNode(self.link, jobs=jobs) if workers else None
         self.session: obs.Observability | None = None
         #: Set once the server socket is bound (the ephemeral-port case).
         self.bound_port: int | None = None
@@ -655,7 +650,8 @@ class ServiceDaemon:
                           served_from="store")
         else:
             obs.count("service.store_misses")
-            job = self.queue.submit(name, params, config_encoded, key)
+            job = self.queue.submit(name, params, config_encoded, key,
+                                    force=bool(request.get("force")))
             self._publish(job.id, "job.submitted", workload=name)
             self._wake.set()
         # No gauge refresh here: /metrics refreshes at scrape time, and

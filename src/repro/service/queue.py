@@ -18,9 +18,9 @@ executing and will push its result home.  An unleased claim
 :meth:`JobQueue.recover` (run at startup) moves such a job back to
 ``submitted`` immediately.
 
-Re-running is always safe — stage execution is deterministic, results
-land in content-addressed stores, and a half-finished run left at
-most some reusable stage-cache entries.
+Re-running is always safe — stage execution is deterministic, and a
+run that dies half-way stored nothing: its report lands in the
+content-addressed store only when the run completes.
 
 The job set lives in memory; ``<dir>/queue.db`` (WAL mode, one row
 per job) is its durable mirror, read back at startup.  Every
@@ -69,6 +69,9 @@ class Job:
     #: claimed.  ``claimed - created`` is the job's queue wait — the
     #: number the worker pull cadence directly controls.
     claimed: float | None = None
+    #: Submitted with ``force``: a claim executes it even when its
+    #: report was stored before it was submitted.
+    force: bool = False
 
     def to_json(self) -> dict:
         # Hand-rolled rather than ``dataclasses.asdict``: this runs on
@@ -221,14 +224,15 @@ class JobQueue:
 
     def submit(self, workload: str, params: dict, config: dict,
                report_key: str, *, state: str = SUBMITTED,
-               error: str | None = None) -> Job:
+               error: str | None = None, force: bool = False) -> Job:
         """Enqueue one submission (or record it directly ``done`` when
         the report store already holds its result)."""
         with self._lock:
             self._seq += 1
             job = Job(id=f"job-{self._seq:06d}", workload=workload,
                       params=dict(params), config=dict(config),
-                      report_key=report_key, state=state, error=error)
+                      report_key=report_key, state=state, error=error,
+                      force=force)
             self._jobs[job.id] = job
             self._counts[state] = self._counts.get(state, 0) + 1
             self._index(job)

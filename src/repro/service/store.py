@@ -1,8 +1,8 @@
 """Content-addressed persistent report store with run history.
 
-Where the stage cache (:mod:`repro.exec.cache`) remembers *stage*
-payloads, this store remembers finished *reports* — the unit a client
-asks for.
+Where the stage cache of ``run``/``batch`` (:mod:`repro.exec.cache`)
+remembers *stage* payloads, this store remembers finished *reports* —
+the unit a client asks for, and the service's one cache.
 
 A report's identity is a tuple of four parts:
 

@@ -76,6 +76,16 @@ class TestParallelByteIdentity:
         assert _serial_json(name) == _parallel_json(name, jobs=1,
                                                     cache_dir=None)
 
+    def test_no_cache_computes_no_job_keys(self, monkeypatch):
+        # A key (canonical JSON + SHA-256 of every upstream stage's
+        # data) only addresses a cache; without one it is never built.
+        def no_key(self, job):
+            raise AssertionError("job key computed without a cache")
+
+        monkeypatch.setattr(StageExecutor, "job_key", no_key)
+        name = "synthetic-unnecessary-sync"
+        assert _serial_json(name) == _parallel_json(name, jobs=1)
+
     def test_unsplit_stage3_mode_is_also_deterministic(self):
         config = DiogenesConfig(split_sync_transfer_runs=False)
         serial = dumps_report(

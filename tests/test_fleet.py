@@ -111,7 +111,7 @@ def running_daemon(data_dir, **kwargs):
 
 def _run_worker(url, worker_id, max_jobs, **kwargs):
     """Run one WorkerNode to completion in a thread; returns (node, thread)."""
-    node = WorkerNode(url, worker_id=worker_id, use_cache=False, **kwargs)
+    node = WorkerNode(url, worker_id=worker_id, **kwargs)
     thread = threading.Thread(target=node.run, kwargs={"max_jobs": max_jobs},
                               daemon=True)
     thread.start()
@@ -757,8 +757,7 @@ class TestGracefulDrain:
         with running_daemon(tmp_path / "svc", workers=0) as (client, _):
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro.core.cli", "worker",
-                 "--coordinator", client.base_url, "--id", "drain-w",
-                 "--no-cache"],
+                 "--coordinator", client.base_url, "--id", "drain-w"],
                 env=_cli_env(), cwd=REPO_ROOT, stderr=subprocess.PIPE,
                 text=True)
             try:

@@ -899,3 +899,71 @@ class TestInProcessNode:
                 release.set()
             job = client.submit(APP, PARAMS)["job"]
             assert client.wait(job["id"], timeout=60)["state"] == DONE
+
+
+# ----------------------------------------------------------------------
+# One observability session per job; the report store is the only cache
+# ----------------------------------------------------------------------
+class TestOneSessionPerJob:
+    def test_jobs_share_one_ledger_calibration(self, tmp_path, monkeypatch):
+        import repro.obs.ledger as ledger
+
+        calls = []
+        probe = ledger._calibrate_probe
+
+        def counted(iterations):
+            calls.append(iterations)
+            return probe(iterations)
+
+        monkeypatch.setattr(ledger, "_calibrate_probe", counted)
+        with running_daemon(tmp_path / "svc", workers=1) as (client, _):
+            for params in (PARAMS, {"iterations": 3}):
+                job = client.submit(APP, params)["job"]
+                assert client.wait(job["id"])["state"] == DONE
+        assert len(calls) <= 1, calls
+
+    def test_local_stages_record_live_under_exec_run(self, service):
+        client, _ = service
+        job = client.wait(client.submit(APP, PARAMS)["job"]["id"])
+        spans = client.trace(job["id"])["spans"]
+        by_id = {sp["span_id"]: sp for sp in spans}
+        (stage1,) = [sp for sp in spans
+                     if sp["name"] == "stage.stage1_baseline"]
+        assert by_id[stage1["parent_id"]]["name"] == "exec.run"
+        assert "exec.worker" not in {sp["name"] for sp in spans}
+
+    def test_executed_job_leaves_no_stage_cache(self, service):
+        client, daemon = service
+        job = client.wait(client.submit(APP, PARAMS)["job"]["id"])
+        assert job["state"] == DONE
+        assert not (pathlib.Path(daemon.data_dir) / "stage-cache").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--cache-dir", "X"],
+        ["serve", "--no-cache"],
+        ["worker", "--cache-dir", "X"],
+        ["worker", "--no-cache"],
+    ])
+    def test_service_commands_take_no_cache_flags(self, argv, capsys):
+        from repro.core.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_forced_resubmit_of_a_stored_key_runs_again(self, service):
+        client, _ = service
+        first = client.wait(client.submit(APP, PARAMS)["job"]["id"])
+        forced = client.submit(APP, PARAMS, force=True)
+        assert forced["cached"] is False
+        job = client.wait(forced["job"]["id"])
+        assert job["report_key"] == first["report_key"]
+        events = client.events(job["id"], after=0, timeout=1)["events"]
+        names = [e["event"] for e in events]
+        assert "job.leased" in names
+        assert names.count("stage.done") == 5
+        trace = client.trace(job["id"])
+        assert trace["job_id"] == job["id"]
+        assert client.report(job["report_key"]) == \
+            client.report(first["report_key"])

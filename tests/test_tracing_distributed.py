@@ -21,6 +21,8 @@ The contracts this file keeps honest:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -289,6 +291,37 @@ class TestPerturbationLedger:
         assert cell.events == 100
         assert cell.seconds == pytest.approx(
             100 * ledger.calibration["probe_fire_seconds"])
+
+    def test_lazy_calibration_honours_iterations(self):
+        ledger = PerturbationLedger(calibrate=False, iterations=50)
+        ledger.charge_probe_hits("stage1", 1)
+        assert ledger.calibration["iterations"] == 50
+
+    def test_concurrent_charges_lose_no_update(self):
+        # Every slot of a service node charges the one process ledger.
+        ledger = PerturbationLedger(calibrate=False)
+        threads, stages = 8, 500
+        barrier = threading.Barrier(threads)
+
+        def charge_all():
+            barrier.wait(10)
+            for i in range(stages):
+                ledger.charge(f"s{i}", "record", 1e-6)
+
+        workers = [threading.Thread(target=charge_all)
+                   for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sum(cell.events for cell in ledger.cells.values()) == \
+            threads * stages
 
     def test_zero_hits_never_triggers_calibration(self):
         ledger = PerturbationLedger(calibrate=False)
