@@ -13,7 +13,11 @@ Drives the full fleet protocol end to end with real processes:
 5. verify every report is byte-identical to its committed golden
    fixture, the killed job was re-attempted, the coordinator counted
    a lease expiry, and every job's trace is one connected tree;
-6. SIGTERM worker 2 and expect a graceful exit 0.
+6. start worker 3, SIGKILL it while it waits in a held pull, and
+   submit one more golden app (forced to re-run): worker 2 must run it
+   on attempt 1 with no new lease expiry — the coordinator never
+   leases a job to a pull whose worker hung up;
+7. SIGTERM worker 2 and expect a graceful exit 0.
 
 Trace payloads land in ``--artifact-dir`` for CI artifact upload.
 Exit status is the verdict; every check prints what it saw.
@@ -33,6 +37,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
+from repro.fleet import HashRing  # noqa: E402
 from repro.service import DONE, RUNNING, ServiceClient, ServiceError  # noqa: E402
 
 #: The four committed golden fixtures (mirrors tests/goldens.py).
@@ -67,6 +72,19 @@ def _wait_healthy(client: ServiceClient, timeout: float = 30.0) -> None:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(0.2)
+
+
+def _owner(key: str, ring_nodes: list[str], rival: str) -> str:
+    """A worker id that owns ``key`` against the live ``rival`` on a
+    ring of ``ring_nodes`` plus itself."""
+    for i in range(1000):
+        ring = HashRing()
+        for node in ring_nodes + [f"smoke-w3-{i}"]:
+            ring.add(node)
+        if ring.node_for(key, alive={rival, f"smoke-w3-{i}"}) \
+                == f"smoke-w3-{i}":
+            return f"smoke-w3-{i}"
+    raise AssertionError(f"no worker id owns {key}")
 
 
 def _metric(text: str, name: str) -> float:
@@ -164,6 +182,33 @@ def main() -> int:
             print(f"{job['id']} ({stem}): {len(trace['spans'])} spans, one "
                   f"tree under service.job, worker={trace['worker']} "
                   f"-> {out}")
+
+        # Worker 3 owns the next job's key on the ring, so without the
+        # coordinator's hang-up check its dead held pull would take it.
+        name, params = GOLDEN_APPS["synthetic"]
+        w3_id = _owner(jobs["synthetic"]["report_key"],
+                       ["smoke-w1", "smoke-w2"], "smoke-w2")
+        w3 = _spawn(_cli("worker", "--coordinator", url, "--id", w3_id,
+                         "--poll-interval", "2"))
+        procs.append(w3)
+        deadline = time.monotonic() + 60
+        while w3_id not in client.fleet_workers()["live"]:
+            assert time.monotonic() < deadline, f"{w3_id} never registered"
+            time.sleep(0.05)
+        time.sleep(0.5)  # registered, then pulling: each pull held 2 s
+        w3.kill()
+        w3.wait(10)
+        time.sleep(0.2)
+        extra = client.submit(name, params, force=True)["job"]
+        final = client.wait(extra["id"], timeout=120)
+        assert final["state"] == DONE and final["worker"] == "smoke-w2", \
+            final
+        assert final["attempts"] == 1, final["attempts"]
+        after = _metric(client.metrics(),
+                        "repro_service_fleet_lease_expiries")
+        assert after == expiries, f"lease expiries {expiries:g} -> {after:g}"
+        print(f"killed {w3_id} in a held pull; {extra['id']} ran on "
+              f"smoke-w2 on attempt 1, no new lease expiry")
 
         w2.send_signal(signal.SIGTERM)
         assert w2.wait(60) == 0, f"worker drain exited {w2.returncode}"

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import repro.obs as obs
@@ -161,9 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker id (default: <hostname>-<pid>)")
     worker.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="process fan-out per analysis (default: 1)")
-    worker.add_argument("--poll-interval", type=float, default=0.2,
-                        metavar="S",
-                        help="idle wait between empty pulls (default: 0.2)")
+    worker.add_argument("--poll-interval", type=_positive_seconds,
+                        default=0.2, metavar="S",
+                        help="longest the coordinator holds one empty pull "
+                             "before answering; a submitted job is claimed "
+                             "at once (default: 0.2)")
     worker.add_argument("--max-jobs", type=int, default=None, metavar="N",
                         help="exit after executing N jobs (default: run "
                              "until SIGTERM)")
@@ -511,10 +514,25 @@ def _human_bytes(n: int | float) -> str:
     return f"{n:.1f} GB"  # pragma: no cover - unreachable
 
 
+def _positive_seconds(raw: str) -> float:
+    """argparse type: a finite number of seconds > 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, not {raw!r}")
+    return value
+
+
 def _client(args):
+    """The command's one service client; :func:`main` closes it."""
     from repro.service.client import ServiceClient
 
-    return ServiceClient(args.url)
+    if getattr(args, "client", None) is None:
+        args.client = ServiceClient(args.url)
+    return args.client
 
 
 def _cmd_serve(args) -> int:
@@ -870,6 +888,9 @@ def main(argv: list[str] | None = None) -> int:
 
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
+        finally:
+            if getattr(args, "client", None) is not None:
+                args.client.close()
 
     try:
         workload = registry.create(args.workload,

@@ -11,7 +11,10 @@ N`` runs the same node in-process, N slots wide, over a
 
 Per job:
 
-1. ``POST /fleet/pull`` claims the oldest eligible job under a lease;
+1. ``POST /fleet/pull`` claims the oldest eligible job under a lease.
+   With nothing to claim, the coordinator holds the pull up to
+   ``poll_interval`` seconds and answers as soon as a job is submitted,
+   so an idle worker starts a new job without a polling delay;
 2. a daemon thread heartbeats every ``lease/3`` seconds so the lease
    outlives any honest execution;
 3. the job runs through this node's own
@@ -89,6 +92,8 @@ class LocalLink:
         return self._call(self.fleet.register, worker)
 
     def fleet_pull(self, worker: str) -> dict | None:
+        """Answered at once (no ``wait``): the daemon's slots sleep on
+        its wake event between pulls instead."""
         job = self._call(self.fleet.pull, worker)
         return None if job is None else job.to_json()
 
@@ -112,14 +117,12 @@ class WorkerNode:
     """One fleet worker node attached to a coordinator.
 
     ``coordinator`` is the coordinator's URL, or a :class:`LocalLink`
-    for the daemon's in-process node.  :meth:`process` is safe to call
-    from several threads at once (one per slot): its per-job state
-    lives in the call.
+    for the daemon's in-process node, whose slots claim through the
+    coordinator themselves and call :meth:`process` (:meth:`run`'s held
+    pulls are an HTTP feature).  :meth:`process` is safe to call from
+    several threads at once (one per slot): its per-job state lives in
+    the call.
     """
-
-    #: First empty-pull backoff (seconds); doubles per consecutive
-    #: empty pull up to ``poll_interval``.
-    MIN_POLL_INTERVAL = 0.01
 
     def __init__(self, coordinator, *, worker_id: str | None = None,
                  jobs: int = 1, poll_interval: float = 0.2,
@@ -156,6 +159,11 @@ class WorkerNode:
     def run(self, max_jobs: int | None = None) -> int:
         """Pull-execute-push until :meth:`stop` (or ``max_jobs`` done).
 
+        Each pull is held by the coordinator for up to ``poll_interval``
+        seconds and answered as soon as a job can be claimed, so an idle
+        worker re-pulls at once after an empty answer, and a graceful
+        stop takes effect within one ``poll_interval``.
+
         Returns the number of jobs executed.  Coordinator outages are
         survived by waiting and re-pulling — the client already retries
         transient connection errors; a still-unreachable coordinator
@@ -163,28 +171,20 @@ class WorkerNode:
         """
         self.register()
         executed = 0
-        # Adaptive pull pacing: while the queue keeps yielding jobs the
-        # worker re-pulls immediately (job latency stops including a
-        # fixed sleep); only an *empty* pull starts a backoff, from
-        # MIN_POLL_INTERVAL doubling to the configured poll_interval.
-        idle_wait = self.MIN_POLL_INTERVAL
         try:
             while not self._stop.is_set():
                 if max_jobs is not None and executed >= max_jobs:
                     break
                 try:
-                    job = self.client.fleet_pull(self.worker_id)
+                    job = self.client.fleet_pull(self.worker_id,
+                                                 wait=self.poll_interval)
                 except ServiceError as exc:
                     self._on_event("worker.pull_error", error=str(exc))
                     if self._stop.wait(min(2.0, self.poll_interval * 10)):
                         break
                     continue
                 if job is None:
-                    if self._stop.wait(min(idle_wait, self.poll_interval)):
-                        break
-                    idle_wait = min(idle_wait * 2, self.poll_interval)
                     continue
-                idle_wait = self.MIN_POLL_INTERVAL
                 # Counted here, on the loop's one thread: process() may
                 # run on several slot threads at once.
                 self.jobs_completed += self.process(job)

@@ -246,10 +246,15 @@ class ServiceClient:
     def fleet_register(self, worker: str) -> dict:
         return self._request("POST", "/fleet/register", {"worker": worker})
 
-    def fleet_pull(self, worker: str) -> dict | None:
-        """Claim the oldest eligible job; ``None`` when nothing waits."""
+    def fleet_pull(self, worker: str, wait: float = 0.0) -> dict | None:
+        """Claim the oldest eligible job; ``None`` when nothing waits.
+
+        With ``wait`` > 0 the coordinator holds an empty pull up to that
+        many seconds (capped server-side) and answers as soon as a job
+        can be claimed.
+        """
         return self._request("POST", "/fleet/pull",
-                             {"worker": worker})["job"]
+                             {"worker": worker, "wait": wait})["job"]
 
     def fleet_heartbeat(self, worker: str, job_id: str,
                         snapshot: dict | None = None) -> dict:

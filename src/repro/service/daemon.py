@@ -43,7 +43,9 @@ Routes::
 Fleet routes (coordinator side of :mod:`repro.fleet`)::
 
     POST /fleet/register      {"worker"} -> lease terms + known workers
-    POST /fleet/pull          {"worker"} -> oldest eligible job, leased
+    POST /fleet/pull          {"worker", "wait"?} -> oldest eligible job,
+                              leased; with none, held up to "wait"
+                              seconds until one can be claimed
     POST /fleet/heartbeat     {"worker", "job"} -> lease extended (409 if lost)
     POST /fleet/complete      {"worker", "job", "identity", "report", "trace"}
     POST /fleet/fail          {"worker", "job", "error", "trace"?}
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import threading
@@ -105,7 +108,8 @@ _EVENTS_PER_JOB = 1000
 #: abandoned clients can't pin handler tasks forever.
 _KEEPALIVE_IDLE_SECONDS = 30.0
 
-#: Longest server-side wait one ``/events`` long-poll may ask for.
+#: Longest server-side wait one long-poll (``/events``, a held
+#: ``/fleet/pull``) may ask for.
 _MAX_POLL_SECONDS = 30.0
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -174,8 +178,14 @@ class ServiceDaemon:
         self.bound_port: int | None = None
         self.started = threading.Event()
         self._stop: asyncio.Event | None = None
-        #: Set on submit (and requeue, shutdown) to wake idle slots.
+        #: Set by :meth:`_notify` to wake idle slots.
         self._wake = threading.Event()
+        #: Set by :meth:`_notify` (then replaced) to wake held pulls.
+        self._pulls_woken = asyncio.Event()
+        #: Open connections (handler task -> writer), and the writers
+        #: of those waiting for their next request.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.StreamWriter] = set()
         #: Per-job live event streams for ``/events`` (worker threads
         #: append under the lock; the asyncio side reads snapshots).
         self._events: dict[str, list[dict]] = {}
@@ -222,10 +232,12 @@ class ServiceDaemon:
         self._refresh_gauges()
         self.started.set()
         try:
-            async with server:
-                await self._stop.wait()
+            await self._stop.wait()
         finally:
             self._initiate_stop()
+            server.close()
+            await self._close_connections()
+            await server.wait_closed()
             for slot in slots:
                 await asyncio.to_thread(slot.join)
             sweep_task.cancel()
@@ -253,7 +265,28 @@ class ServiceDaemon:
     def _initiate_stop(self) -> None:
         if self._stop is not None:
             self._stop.set()
+        self._notify()
+
+    def _notify(self) -> None:
+        """Wake whatever waits for work: the local slots and every held
+        ``/fleet/pull``, which rescan the queue (event-loop thread)."""
         self._wake.set()
+        woken, self._pulls_woken = self._pulls_woken, asyncio.Event()
+        woken.set()
+
+    async def _close_connections(self) -> None:
+        """Answer, then close, every open connection: held long-polls
+        (woken by the stop) and requests in flight answer, and idle
+        keep-alive connections close.  So the loop's teardown cancels
+        no handler mid-request, and ``Server.wait_closed`` (which from
+        Python 3.12.1 waits for every connection) returns."""
+        deadline = time.monotonic() + _KEEPALIVE_IDLE_SECONDS
+        while self._connections and time.monotonic() < deadline:
+            for writer in list(self._idle):
+                writer.close()
+            await asyncio.wait(list(self._connections), timeout=0.05)
+        for writer in self._connections.values():
+            writer.transport.abort()  # a peer stalled mid-request
 
     async def _lease_sweep_loop(self) -> None:
         """Return expired-lease jobs to ``submitted`` for redelivery."""
@@ -264,8 +297,8 @@ class ServiceDaemon:
                 return
             except (TimeoutError, asyncio.TimeoutError):
                 pass
-            if self.fleet.expire() and self.workers:
-                self._wake.set()  # local slots may pick them up
+            if self.fleet.expire():
+                self._notify()  # slots and held pulls may pick them up
 
     def _slot(self) -> None:
         """One slot of the local node, on its own thread: claim and
@@ -363,6 +396,8 @@ class ServiceDaemon:
         callers send ``Connection: close`` and get the old one-shot
         behaviour.
         """
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while await self._handle_request(reader, writer):
                 pass
@@ -372,6 +407,8 @@ class ServiceDaemon:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+            finally:
+                del self._connections[task]
 
     async def _handle_request(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> bool:
@@ -380,11 +417,14 @@ class ServiceDaemon:
         route = "unknown"
         self._ensure_obs()
         try:
+            self._idle.add(writer)
             try:
                 request = await asyncio.wait_for(
                     reader.readline(), timeout=_KEEPALIVE_IDLE_SECONDS)
             except (TimeoutError, asyncio.TimeoutError):
                 return False  # idle keep-alive connection: reclaim it
+            finally:
+                self._idle.discard(writer)
             parts = request.decode("latin-1").split()
             if len(parts) < 2:
                 return False
@@ -401,7 +441,7 @@ class ServiceDaemon:
             extra_headers: dict[str, str] = {}
             try:
                 route, status, payload = await self._route(method, target,
-                                                           body)
+                                                           body, reader)
             except _HttpError as exc:
                 status, payload = exc.status, {"error": str(exc)}
                 extra_headers = exc.headers
@@ -439,8 +479,7 @@ class ServiceDaemon:
             obs.observe("service.request_seconds",
                         time.perf_counter() - t0, route=route)
             if shutdown:
-                self._stop.set()
-                self._wake.set()
+                self._initiate_stop()
             return not close
         except (asyncio.IncompleteReadError, ConnectionError):
             return False  # client went away mid-request; nothing to answer
@@ -466,8 +505,8 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, method: str, target: str,
-                     body: bytes) -> tuple[str, int, dict]:
+    async def _route(self, method: str, target: str, body: bytes,
+                     reader: asyncio.StreamReader) -> tuple[str, int, dict]:
         url = urllib.parse.urlsplit(target)
         query = urllib.parse.parse_qs(url.query)
         segments = [s for s in url.path.split("/") if s]
@@ -523,14 +562,16 @@ class ServiceDaemon:
         if url.path == "/diff" and method == "GET":
             return "diff", 200, self._handle_diff(query)
         if segments[:1] == ["fleet"]:
-            return await self._route_fleet(method, url.path, segments, body)
+            return await self._route_fleet(method, url.path, segments, body,
+                                           reader)
         if url.path == "/shutdown" and method == "POST":
             return "shutdown", 200, {"status": "stopping"}
         raise _HttpError(404, f"no route for {method} {url.path}")
 
     async def _route_fleet(self, method: str, path: str,
-                           segments: list[str],
-                           body: bytes) -> tuple[str, int, dict]:
+                           segments: list[str], body: bytes,
+                           reader: asyncio.StreamReader
+                           ) -> tuple[str, int, dict]:
         """Coordinator side of the worker protocol (see repro.fleet)."""
         if segments == ["fleet", "workers"] and method == "GET":
             return "fleet.workers", 200, {
@@ -560,7 +601,13 @@ class ServiceDaemon:
         if action == "register":
             return "fleet.register", 200, link.fleet_register(field("worker"))
         if action == "pull":
-            return "fleet.pull", 200, {"job": link.fleet_pull(field("worker"))}
+            worker, wait = field("worker"), request.get("wait", 0)
+            if isinstance(wait, bool) or not isinstance(wait, (int, float)) \
+                    or not math.isfinite(wait) or wait < 0:
+                raise _HttpError(400, 'fleet pull "wait" must be a finite '
+                                      'number of seconds >= 0')
+            return "fleet.pull", 200, {
+                "job": await self._held_pull(worker, wait, reader)}
         if action == "heartbeat":
             return "fleet.heartbeat", 200, {"job": link.fleet_heartbeat(
                 field("worker"), field("job"), snapshot=optional("snapshot"))}
@@ -575,15 +622,41 @@ class ServiceDaemon:
             reply = await asyncio.to_thread(lambda: link.fleet_complete(
                 worker, job_id, identity, decode_tree(report),
                 optional("trace"), snapshot=optional("snapshot")))
-            self._wake.set()
+            self._notify()
             return "fleet.complete", 200, reply
         if action == "fail":
             reply = await asyncio.to_thread(
                 link.fleet_fail, field("worker"), field("job"),
                 request.get("error") or "unknown", optional("trace"))
-            self._wake.set()
+            self._notify()
             return "fleet.fail", 200, reply
         raise _HttpError(404, f"no fleet action {action!r}")
+
+    async def _held_pull(self, worker: str, wait: float,
+                         reader: asyncio.StreamReader) -> dict | None:
+        """Claim a job for ``worker``; with none to claim, hold the pull
+        up to ``wait`` seconds and rescan whenever :meth:`_notify` wakes
+        it.  ``None`` when the wait runs out or the daemon stops.
+
+        The wait is capped at ``_MAX_POLL_SECONDS`` and at half the
+        worker TTL, so a held worker never drops out of the ring.  A
+        peer that closed its end during the hold is never leased a job.
+        """
+        deadline = time.monotonic() + min(wait, _MAX_POLL_SECONDS,
+                                          self.fleet.worker_ttl / 2)
+        while not self._stop.is_set():
+            woken = self._pulls_woken  # taken before the scan: no lost wake
+            job = self.link.fleet_pull(worker)
+            remaining = deadline - time.monotonic()
+            if job is not None or remaining <= 0:
+                return job
+            try:
+                await asyncio.wait_for(woken.wait(), remaining)
+            except (TimeoutError, asyncio.TimeoutError):
+                return None
+            if reader.at_eof() or reader.exception() is not None:
+                return None  # the peer hung up: lease it nothing
+        return None
 
     def _handle_submit(self, body: bytes) -> dict:
         if self.max_queue is not None \
@@ -653,7 +726,7 @@ class ServiceDaemon:
             job = self.queue.submit(name, params, config_encoded, key,
                                     force=bool(request.get("force")))
             self._publish(job.id, "job.submitted", workload=name)
-            self._wake.set()
+            self._notify()
         # No gauge refresh here: /metrics refreshes at scrape time, and
         # per-submit refreshes measurably cap sustained throughput.
         return {"job": job.to_json(), "cached": cached}
@@ -663,7 +736,8 @@ class ServiceDaemon:
 
         Returns immediately when events newer than ``after`` exist or
         the job is already terminal; otherwise waits — up to
-        ``timeout`` seconds (capped server-side) — for the next event.
+        ``timeout`` seconds (capped server-side), or until the daemon
+        stops — for the next event.
         The worker threads publish; this coroutine only naps and
         snapshots, so a slow tail never blocks the executor.
         """
@@ -676,11 +750,13 @@ class ServiceDaemon:
             raise _HttpError(404, f"no such job: {job_id}")
         try:
             after = int(query.get("after", ["0"])[0])
-            timeout = min(float(query.get("timeout", ["10"])[0]),
-                          _MAX_POLL_SECONDS)
+            timeout = float(query.get("timeout", ["10"])[0])
         except ValueError as exc:
             raise _HttpError(400, f"bad events query: {exc}")
-        deadline = time.perf_counter() + timeout
+        if not math.isfinite(timeout):
+            raise _HttpError(400, "bad events query: timeout must be a "
+                                  f"finite number of seconds, not {timeout}")
+        deadline = time.perf_counter() + min(timeout, _MAX_POLL_SECONDS)
         while True:
             # State before events: terminal events are published before
             # the queue transition, so a terminal state read *first*
@@ -689,7 +765,8 @@ class ServiceDaemon:
             job = self.queue.get(job_id)
             terminal = job.state in (DONE, FAILED)
             events = self._job_events(job_id, after)
-            if events or terminal or time.perf_counter() >= deadline:
+            if events or terminal or self._stop.is_set() \
+                    or time.perf_counter() >= deadline:
                 last_seq = events[-1]["seq"] if events else after
                 return {"job": job_id, "state": job.state,
                         "events": events, "last_seq": last_seq,

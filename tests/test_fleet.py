@@ -10,6 +10,8 @@ The contracts that keep the fleet honest:
   content-addressed store and the consistent-hash ring;
 * a saturated queue answers 429 + Retry-After and the client honours
   it (jittered exponential backoff on connection errors too);
+* an idle worker's pull is held by the coordinator and answered as
+  soon as a job can be claimed — never for a worker that hung up;
 * SIGTERM drains gracefully: in-flight work finishes, exit code 0.
 """
 
@@ -31,7 +33,7 @@ import pytest
 
 import repro.obs as obs
 from repro.apps.base import registry
-from repro.core.cli import _load_workloads
+from repro.core.cli import _load_workloads, build_parser
 from repro.core.diogenes import Diogenes, DiogenesConfig
 from repro.core.jsonio import dumps_report
 from repro.exec.fingerprint import config_to_json
@@ -245,6 +247,11 @@ class _FlakyStub:
                              b"Connection: close\r\n\r\n{\"status\": 1}\n")
 
     def close(self) -> None:
+        try:
+            # Wakes the accept() that close() alone leaves blocked.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # not every platform shuts down a listener
+            pass
         self._sock.close()
         self._thread.join(5)
 
@@ -502,6 +509,161 @@ class TestFleetEndToEnd:
 
 
 # ----------------------------------------------------------------------
+# Held pulls: an idle worker wakes on submit instead of polling
+# ----------------------------------------------------------------------
+def _hold_pull(client, daemon, worker, wait=5.0):
+    """Start ``worker``'s pull in a thread; return once the coordinator
+    has scanned for it, found nothing and holds it.
+
+    Returns ``answer()``, which waits for the pull's answer and gives
+    the job (or ``None``) and the epoch seconds when it arrived."""
+    result: dict = {}
+    started = time.time()
+
+    def pull():
+        result["job"] = client.fleet_pull(worker, wait=wait)
+        result["at"] = time.time()
+
+    thread = threading.Thread(target=pull, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10
+    # The first scan touches the worker, on the event loop that also
+    # serves the next request: after it, the pull is held.
+    while not (worker in daemon.fleet.workers
+               and daemon.fleet.workers[worker].last_seen >= started):
+        assert "job" not in result, "the pull was not held"
+        assert time.monotonic() < deadline, "the pull never arrived"
+        time.sleep(0.005)
+
+    def answer(timeout: float = 10.0):
+        thread.join(timeout)
+        assert not thread.is_alive(), "the held pull never answered"
+        return result["job"], result["at"]
+
+    return answer
+
+
+def _owner_against(key: str, other: str) -> str:
+    """A worker id that owns ``key`` on a two-node ring with ``other``
+    (report keys follow the code fingerprint, so owners move)."""
+    for i in range(100):
+        ring = HashRing()
+        ring.add(other)
+        ring.add(f"rescuer-{i}")
+        if ring.node_for(key) == f"rescuer-{i}":
+            return f"rescuer-{i}"
+    raise AssertionError("no owner found")
+
+
+class TestHeldPull:
+    def test_held_pull_claims_a_job_submitted_during_the_hold(
+            self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
+            answer = _hold_pull(client, daemon, "w1")
+            submitted = time.time()
+            job = client.submit(APP, PARAMS)["job"]
+            pulled, at = answer()
+            assert pulled["id"] == job["id"]
+            assert at - submitted < 1.0
+            record = client.job(job["id"])
+            assert record["worker"] == "w1" and record["attempts"] == 1
+
+    def test_held_pull_wakes_on_a_lease_expiry_requeue(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0,
+                            lease_seconds=0.3) as (client, daemon):
+            job = client.submit(APP, PARAMS)["job"]
+            rescuer = _owner_against(job["report_key"], "ghost")
+            # A worker claims the job, then dies: no heartbeat, no push.
+            client.fleet_register("ghost")
+            claimed = client.fleet_pull("ghost")
+            assert claimed["id"] == job["id"]
+            pulled, at = _hold_pull(client, daemon, rescuer)()
+            assert pulled["id"] == job["id"] and pulled["attempts"] == 2
+            assert at - claimed["lease_expires"] < 1.0
+
+    def test_held_pull_wakes_on_a_fail_requeue(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
+            job = client.submit(APP, PARAMS)["job"]
+            client.fleet_register("w1")
+            assert client.fleet_pull("w1")["id"] == job["id"]
+            # The node holds a pull for its next job while this one
+            # fails; the requeued job is that next job.
+            answer = _hold_pull(client, daemon, "w1")
+            failed = time.time()
+            client.fleet_fail("w1", job["id"], "RuntimeError: kaboom")
+            pulled, at = answer()
+            assert pulled["id"] == job["id"] and pulled["attempts"] == 2
+            assert at - failed < 1.0
+
+    def test_held_pull_answers_null_when_the_wait_runs_out(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, _):
+            t0 = time.monotonic()
+            assert client.fleet_pull("w1", wait=1.0) is None
+            assert 0.9 <= time.monotonic() - t0 < 2.0
+
+    def test_held_pull_is_capped_below_the_worker_ttl(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0,
+                            worker_ttl=0.8) as (client, _):
+            t0 = time.monotonic()
+            assert client.fleet_pull("w1", wait=5.0) is None
+            assert 0.3 <= time.monotonic() - t0 < 1.5  # held TTL/2
+
+    def test_one_submission_is_claimed_once_by_its_ring_owner(
+            self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
+            held = {worker: _hold_pull(client, daemon, worker, wait=2.0)
+                    for worker in ("w1", "w2")}
+            submitted = time.time()
+            job = client.submit(APP, PARAMS)["job"]
+            owner = daemon.fleet.ring.node_for(job["report_key"],
+                                               alive={"w1", "w2"})
+            loser = "w2" if owner == "w1" else "w1"
+            pulled, at = held[owner]()
+            assert pulled["id"] == job["id"] and at - submitted < 1.0
+            assert held[loser]()[0] is None
+            record = client.job(job["id"])
+            assert record["worker"] == owner and record["attempts"] == 1
+
+    def test_pull_held_by_a_peer_that_hung_up_claims_nothing(
+            self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
+            body = json.dumps({"worker": "ghost", "wait": 5}).encode()
+            sock = socket.create_connection(("127.0.0.1",
+                                             daemon.bound_port))
+            sock.sendall(b"POST /fleet/pull HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            deadline = time.monotonic() + 10
+            while "ghost" not in daemon.fleet.workers:
+                assert time.monotonic() < deadline, "the pull never arrived"
+                time.sleep(0.005)
+            sock.close()  # the worker dies during the hold
+            time.sleep(0.1)
+            job = client.submit(APP, PARAMS)["job"]
+            time.sleep(0.3)
+            record = client.job(job["id"])
+            assert record["state"] == SUBMITTED and record["attempts"] == 0
+            assert _metric_value(client.metrics(),
+                                 "repro_service_leases_active") == 0
+
+    @pytest.mark.parametrize("wait", [float("nan"), float("inf"), -1, "5",
+                                      True])
+    def test_pull_wait_must_be_finite_seconds(self, tmp_path, wait):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, _):
+            with pytest.raises(ServiceError, match='"wait"') as err:
+                client._request("POST", "/fleet/pull",
+                                {"worker": "w1", "wait": wait})
+            assert err.value.status == 400
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1", "soon"])
+    def test_worker_poll_interval_must_be_positive_seconds(self, raw,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["worker", "--poll-interval", raw])
+        assert exit_info.value.code == 2
+        assert "--poll-interval" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
 # Backpressure: 429 + Retry-After, honoured end to end
 # ----------------------------------------------------------------------
 class TestBackpressure:
@@ -726,6 +888,41 @@ def _wait_for_line(stream, needle: str, timeout: float = 30.0) -> str:
 
 
 class TestGracefulDrain:
+    def test_shutdown_answers_held_long_polls(self, tmp_path, monkeypatch):
+        daemon = ServiceDaemon(tmp_path / "svc", workers=0)
+        thread = threading.Thread(target=daemon.run, kwargs={"port": 0},
+                                  daemon=True)
+        thread.start()
+        assert daemon.started.wait(10)
+        client = ServiceClient(f"http://127.0.0.1:{daemon.bound_port}")
+        job = client.submit(APP, PARAMS)["job"]
+        assert client.fleet_pull("w0")["id"] == job["id"]  # now running
+        seen = client.events(job["id"], timeout=0)["last_seq"]
+        polled = threading.Event()
+        job_events = daemon._job_events
+
+        def spy(job_id, after):
+            polled.set()
+            return job_events(job_id, after)
+
+        monkeypatch.setattr(daemon, "_job_events", spy)
+        answers: dict = {}
+        events = threading.Thread(target=lambda: answers.update(
+            events=client.events(job["id"], after=seen, timeout=20)))
+        events.start()
+        assert polled.wait(10), "the events poll never arrived"
+        answer = _hold_pull(client, daemon, "w1", wait=20)
+        client.shutdown()
+        thread.join(5)
+        assert not thread.is_alive(), "daemon did not stop within 5 s"
+        events.join(5)
+        assert not events.is_alive()
+        # Both polls got a normal 200 answer, not a dropped connection.
+        assert answer(5)[0] is None
+        assert answers["events"]["state"] == RUNNING
+        assert answers["events"]["events"] == []
+        assert answers["events"]["done"] is False
+
     def test_serve_finishes_inflight_job_on_sigterm(self, tmp_path):
         port = _free_port()
         proc = subprocess.Popen(

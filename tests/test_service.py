@@ -438,6 +438,15 @@ class TestTraceAndEvents:
             client._request("GET", "/events?job=job-000001&after=nope")
         assert info.value.status == 400
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_events_rejects_a_non_finite_timeout(self, service, timeout):
+        client, _ = service
+        job = client.submit(APP, PARAMS)["job"]
+        with pytest.raises(ServiceError, match="finite") as info:
+            ServiceClient(client.base_url, timeout=5, retries=0)._request(
+                "GET", f"/events?job={job['id']}&timeout={timeout}")
+        assert info.value.status == 400
+
     def test_failed_job_dumps_flight_recording(self, service, tmp_path):
         client, daemon = service
         bad = daemon.queue.submit("synthetic-quiet", {"bogus_arg": 1},
@@ -805,6 +814,33 @@ class TestServiceCli:
         client, _ = service
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["submit", "no-such-app", "--url", client.base_url])
+
+    def test_service_commands_close_their_client(self, service, tmp_path,
+                                                  monkeypatch):
+        client, _ = service
+        job = client.wait(client.submit(APP, PARAMS)["job"]["id"])
+        closed = []
+        close = ServiceClient.close
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(ServiceClient, "close", counting_close)
+        commands = [
+            ["submit", APP, "--param", "iterations=4", "--wait"],
+            ["status"],
+            ["status", job["id"]],
+            ["fetch", job["id"], "--out", str(tmp_path / "r.json")],
+            ["tail", job["id"]],
+            ["diff", job["id"], job["id"]],
+        ]
+        for argv in commands:
+            assert main(argv + ["--url", client.base_url]) == 0
+        with pytest.raises(SystemExit, match="unknown workload"):
+            main(["submit", "no-such-app", "--url", client.base_url])
+        assert len(closed) == len(commands) + 1
+        assert len({id(c) for c in closed}) == len(closed)
 
 
 # ----------------------------------------------------------------------
