@@ -306,21 +306,19 @@ def _add_exec_flags(parser) -> None:
                              "processes (default: 1, serial in-process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed stage-result cache; "
-                             "re-runs skip already-measured stages")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir (neither read nor write)")
+                             "re-runs skip already-measured stages "
+                             "(default: none)")
 
 
 def _make_executor(args):
     """Build a StageExecutor when the flags ask for one, else None."""
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.jobs == 1 and (args.cache_dir is None or args.no_cache):
+    if args.jobs == 1 and args.cache_dir is None:
         return None
     from repro.exec import StageExecutor
 
-    return StageExecutor(jobs=args.jobs, cache_dir=args.cache_dir,
-                         use_cache=not args.no_cache)
+    return StageExecutor(jobs=args.jobs, cache_dir=args.cache_dir)
 
 
 def _parse_value(raw: str):
@@ -437,8 +435,8 @@ def _run_batch(args) -> int:
     session = (obs.enable(obs.Observability(flight_dir=args.flight_dir))
                if observing else None)
     try:
-        with StageExecutor(jobs=args.jobs, cache_dir=args.cache_dir,
-                           use_cache=not args.no_cache) as executor:
+        with StageExecutor(jobs=args.jobs,
+                           cache_dir=args.cache_dir) as executor:
             results = executor.run_workloads(specs, config)
         reports = [
             report_from_stage_results(getattr(w, "name", spec.name),

@@ -49,11 +49,6 @@ class DiogenesConfig:
     #: Bytes/second the stage-3 hasher sustains (dynamic probe cost).
     hash_bandwidth: float = 1e9
 
-    #: Collect sync and transfer detail in separate runs, as the paper's
-    #: tool does (§4).  False merges stage 3's two collections into one
-    #: run (cheaper, used by some tests).
-    split_sync_transfer_runs: bool = True
-
     #: Transfer dedup matching policy ("content" or "content+dst").
     dedup_policy: str = "content"
 
@@ -256,13 +251,10 @@ def report_from_stage_results(workload_name: str, results: dict[str, dict],
     stage2 = Stage2Data.from_json(results["stage2"])
     stage3 = Stage3Data.from_json(results["stage3"])
     stage4 = Stage4Data.from_json(results["stage4"])
-    if cfg.split_sync_transfer_runs:
-        stage3_times = {
-            "stage3_memtrace": results["stage3_memtrace"]["execution_time"],
-            "stage3_hashing": results["stage3_hashing"]["execution_time"],
-        }
-    else:
-        stage3_times = {"stage3_memtrace": stage3.execution_time}
+    stage3_times = {
+        "stage3_memtrace": results["stage3_memtrace"]["execution_time"],
+        "stage3_hashing": results["stage3_hashing"]["execution_time"],
+    }
     return assemble_report(workload_name, stage1, stage2, stage3, stage4,
                            stage3_times, cfg)
 
@@ -323,28 +315,21 @@ class Diogenes:
                               self.workload, cfg)
         stage2 = self._staged("stage2_tracing", run_stage2,
                               self.workload, stage1, cfg)
-        if cfg.split_sync_transfer_runs:
-            # Separate collection runs for synchronization and transfer
-            # detail (§4), merged into one Stage3Data.
-            memtrace = self._staged("stage3_memtrace", run_stage3,
-                                    self.workload, stage1, cfg,
-                                    mode="memtrace")
-            hashing = self._staged("stage3_hashing", run_stage3,
-                                   self.workload, stage1, cfg,
-                                   mode="hashing")
-            stage3 = Stage3Data(
-                execution_time=memtrace.execution_time,
-                sync_uses=memtrace.sync_uses,
-                transfer_hashes=hashing.transfer_hashes,
-            )
-            stage3_times = {
-                "stage3_memtrace": memtrace.execution_time,
-                "stage3_hashing": hashing.execution_time,
-            }
-        else:
-            stage3 = self._staged("stage3_both", run_stage3,
-                                  self.workload, stage1, cfg)
-            stage3_times = {"stage3_memtrace": stage3.execution_time}
+        # Separate collection runs for synchronization and transfer
+        # detail (§4), merged into one Stage3Data.
+        memtrace = self._staged("stage3_memtrace", run_stage3,
+                                self.workload, stage1, cfg, mode="memtrace")
+        hashing = self._staged("stage3_hashing", run_stage3,
+                               self.workload, stage1, cfg, mode="hashing")
+        stage3 = Stage3Data(
+            execution_time=memtrace.execution_time,
+            sync_uses=memtrace.sync_uses,
+            transfer_hashes=hashing.transfer_hashes,
+        )
+        stage3_times = {
+            "stage3_memtrace": memtrace.execution_time,
+            "stage3_hashing": hashing.execution_time,
+        }
         stage4 = self._staged("stage4_syncuse", run_stage4,
                               self.workload, stage1, stage3, cfg)
         return self._staged(

@@ -9,7 +9,6 @@ overhead accounting, all as plain JSON types.
 from __future__ import annotations
 
 import json
-from typing import IO
 
 from repro.core.analysis import ProblemRecord
 from repro.core.diogenes import DiogenesReport
@@ -184,15 +183,8 @@ def load_report_json(path: str) -> dict:
     return data
 
 
-def dump_report(report: DiogenesReport, fp: IO[str], *, indent: int = 2,
-                meta: dict | None = None) -> None:
-    """Write a report as JSON to an open text file."""
-    json.dump(report_to_json(report, meta=meta), fp, indent=indent)
-
-
-def dumps_report(report: DiogenesReport, *, indent: int = 2,
-                 meta: dict | None = None) -> str:
-    return json.dumps(report_to_json(report, meta=meta), indent=indent)
+def dumps_report(report: DiogenesReport, *, meta: dict | None = None) -> str:
+    return json.dumps(report_to_json(report, meta=meta), indent=2)
 
 
 def session_meta(session) -> dict:

@@ -14,8 +14,8 @@ given their upstream data, so this package executes them as jobs:
   stage, tool configuration, and a whole-package code digest.
 
 Wired into the tool via ``Diogenes(workload, executor=...)`` and the
-CLI's ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags.  Design and
-invalidation rules: ``docs/parallel_execution.md``.
+CLI's ``--jobs`` / ``--cache-dir`` flags.  Design and invalidation
+rules: ``docs/parallel_execution.md``.
 """
 
 from repro.exec.cache import ResultCache

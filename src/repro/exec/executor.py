@@ -40,7 +40,6 @@ from repro.exec.fingerprint import (
 from repro.exec.jobs import (
     STAGE1,
     STAGE2,
-    STAGE3_BOTH,
     STAGE3_HASHING,
     STAGE3_MEMTRACE,
     STAGE4,
@@ -63,27 +62,17 @@ def _worker_init() -> None:
     obs.disable()
 
 
-def _stage_plan(split_sync_transfer_runs: bool) -> dict[str, tuple[str, ...]]:
-    """Stage -> upstream dependencies, in deterministic order.
-
-    ``stage3`` is a *derived* dataset (the in-parent merge of the two
-    split collection runs, or an alias of the combined run); it never
-    executes as a job but participates as a dependency.
-    """
-    if split_sync_transfer_runs:
-        return {
-            STAGE1: (),
-            STAGE2: (STAGE1,),
-            STAGE3_MEMTRACE: (STAGE1,),
-            STAGE3_HASHING: (STAGE1,),
-            STAGE4: (STAGE1, "stage3"),
-        }
-    return {
-        STAGE1: (),
-        STAGE2: (STAGE1,),
-        STAGE3_BOTH: (STAGE1,),
-        STAGE4: (STAGE1, "stage3"),
-    }
+#: Stage -> upstream dependencies, in deterministic order.  ``stage3``
+#: is a *derived* dataset (the in-parent merge of the two stage-3
+#: collection runs); it never executes as a job but participates as a
+#: dependency.
+_STAGE_PLAN: dict[str, tuple[str, ...]] = {
+    STAGE1: (),
+    STAGE2: (STAGE1,),
+    STAGE3_MEMTRACE: (STAGE1,),
+    STAGE3_HASHING: (STAGE1,),
+    STAGE4: (STAGE1, "stage3"),
+}
 
 
 @dataclass
@@ -91,13 +80,12 @@ class _WorkloadRun:
     """Mutable scheduling state for one workload's DAG."""
 
     spec: WorkloadSpec
-    plan: dict[str, tuple[str, ...]]
     results: dict[str, dict] = field(default_factory=dict)
     submitted: set[str] = field(default_factory=set)
 
     def ready(self) -> list[str]:
         return [
-            stage for stage, deps in self.plan.items()
+            stage for stage, deps in _STAGE_PLAN.items()
             if stage not in self.submitted
             and all(dep in self.results for dep in deps)
         ]
@@ -105,16 +93,13 @@ class _WorkloadRun:
     def record(self, stage: str, data: dict) -> None:
         self.results[stage] = data
         # Derive the merged stage-3 dataset as soon as its parts exist.
-        if "stage3" not in self.results:
-            if STAGE3_MEMTRACE in self.results and STAGE3_HASHING in self.results:
-                self.results["stage3"] = merge_stage3(
-                    self.results[STAGE3_MEMTRACE],
-                    self.results[STAGE3_HASHING])
-            elif STAGE3_BOTH in self.results:
-                self.results["stage3"] = self.results[STAGE3_BOTH]
+        if ("stage3" not in self.results and STAGE3_MEMTRACE in self.results
+                and STAGE3_HASHING in self.results):
+            self.results["stage3"] = merge_stage3(
+                self.results[STAGE3_MEMTRACE], self.results[STAGE3_HASHING])
 
     def done(self) -> bool:
-        return all(stage in self.results for stage in self.plan)
+        return all(stage in self.results for stage in _STAGE_PLAN)
 
 
 class StageExecutor:
@@ -125,13 +110,12 @@ class StageExecutor:
     run.  Use as a context manager, or call :meth:`shutdown`.
     """
 
-    def __init__(self, jobs: int = 1, cache_dir: str | os.PathLike | None = None,
-                 use_cache: bool = True) -> None:
+    def __init__(self, jobs: int = 1,
+                 cache_dir: str | os.PathLike | None = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache = (ResultCache(cache_dir)
-                      if cache_dir is not None and use_cache else None)
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
@@ -193,9 +177,7 @@ class StageExecutor:
         service's live-stream feed).
         """
         config_json = config_to_json(config)
-        plan = _stage_plan(config.split_sync_transfer_runs)
-        runs = {spec: _WorkloadRun(spec=spec, plan=dict(plan))
-                for spec in specs}
+        runs = {spec: _WorkloadRun(spec=spec) for spec in specs}
         inflight: dict[concurrent.futures.Future, tuple[WorkloadSpec, StageJob, str | None]] = {}
 
         # Held for the whole run: another thread may swap the
@@ -256,7 +238,7 @@ class StageExecutor:
                         stage=stage,
                         config=config_json,
                         inputs={dep: run.results[dep]
-                                for dep in run.plan[stage]},
+                                for dep in _STAGE_PLAN[stage]},
                         trace=self._job_trace(stitch, inline),
                     )
                     key = self.job_key(job) if self.cache is not None else None

@@ -7,7 +7,7 @@ ingredients, mirroring the tuple named in the design docs:
 * **workload fingerprint** — registry name, constructor parameters,
   and a digest of the workload's defining module source;
 * **stage** — which collection run this is (``stage1`` …
-  ``stage4``), including the stage-3 split mode;
+  ``stage4``; stage 3 is two runs, memtrace and hashing);
 * **cost-model / tool configuration** — the full
   :class:`~repro.core.diogenes.DiogenesConfig`, canonically encoded;
 * **repro version** — the package version *plus* a digest over every

@@ -33,7 +33,6 @@ STAGE1 = "stage1"
 STAGE2 = "stage2"
 STAGE3_MEMTRACE = "stage3_memtrace"
 STAGE3_HASHING = "stage3_hashing"
-STAGE3_BOTH = "stage3_both"
 STAGE4 = "stage4"
 
 
@@ -140,8 +139,7 @@ def _run_stage(job: StageJob, workload, config):
 
     if job.stage == STAGE1:
         return run_stage1(workload, config)
-    if job.stage not in (STAGE2, STAGE3_MEMTRACE, STAGE3_HASHING,
-                         STAGE3_BOTH, STAGE4):
+    if job.stage not in (STAGE2, STAGE3_MEMTRACE, STAGE3_HASHING, STAGE4):
         raise ValueError(f"unknown stage {job.stage!r}")
     stage1 = Stage1Data.from_json(job.inputs["stage1"])
     if job.stage == STAGE2:
@@ -150,8 +148,6 @@ def _run_stage(job: StageJob, workload, config):
         return run_stage3(workload, stage1, config, mode="memtrace")
     if job.stage == STAGE3_HASHING:
         return run_stage3(workload, stage1, config, mode="hashing")
-    if job.stage == STAGE3_BOTH:
-        return run_stage3(workload, stage1, config, mode="both")
     stage3 = Stage3Data.from_json(job.inputs["stage3"])
     return run_stage4(workload, stage1, stage3, config)
 

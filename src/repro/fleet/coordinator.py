@@ -19,7 +19,10 @@ per submitted job (oldest first):
 3. **ring ownership** — the key's consistent-hash owner
    (:mod:`repro.fleet.ring`) is a *different live* worker: skipped,
    reserved for its owner.  A dead or unregistered owner falls
-   through, so sharding never strands work.
+   through, so sharding never strands work.  An expired lease takes
+   its holder off the live set until it is next heard from
+   (:meth:`FleetCoordinator.expire`), so the requeued job goes to a
+   live worker at the next pull, not after the worker TTL.
 
 Completions are validated against the lease (worker id must match the
 claim) and against identity: the worker recomputes the report
@@ -65,6 +68,11 @@ class WorkerInfo:
     last_seen: float = field(default_factory=time.time)
     jobs_completed: int = 0
     jobs_failed: int = 0
+    #: A lease it held expired after ``last_seen``: presumed dead.
+    lease_expired: bool = False
+
+    def live(self, now: float, ttl: float) -> bool:
+        return not self.lease_expired and (now - self.last_seen) <= ttl
 
     def to_json(self, now: float | None = None,
                 ttl: float = DEFAULT_WORKER_TTL) -> dict:
@@ -73,7 +81,7 @@ class WorkerInfo:
             "id": self.id,
             "registered": self.registered,
             "last_seen": self.last_seen,
-            "live": (now - self.last_seen) <= ttl,
+            "live": self.live(now, ttl),
             "jobs_completed": self.jobs_completed,
             "jobs_failed": self.jobs_failed,
         }
@@ -89,13 +97,12 @@ class FleetCoordinator:
     def __init__(self, queue, store, *,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
                  worker_ttl: float = DEFAULT_WORKER_TTL,
-                 retry_limit: int = DEFAULT_RETRY_LIMIT,
                  publish=None) -> None:
         self.queue = queue
         self.store = store
         self.lease_seconds = lease_seconds
         self.worker_ttl = worker_ttl
-        self.retry_limit = retry_limit
+        self.retry_limit = DEFAULT_RETRY_LIMIT
         #: ``publish(job_id, event_name, **fields)`` — the daemon's
         #: live event stream; a no-op default keeps this testable bare.
         self._publish = publish or (lambda job_id, name, **fields: None)
@@ -115,6 +122,7 @@ class FleetCoordinator:
             if info is None:
                 info = self.workers[worker_id] = WorkerInfo(id=worker_id)
             info.last_seen = time.time()
+            info.lease_expired = False
             self.ring.add(worker_id)
             obs.count("service.fleet_registrations", worker=worker_id)
             return {
@@ -133,13 +141,14 @@ class FleetCoordinator:
                 info = self.workers[worker_id] = WorkerInfo(id=worker_id)
                 self.ring.add(worker_id)
             info.last_seen = time.time()
+            info.lease_expired = False
             return info
 
     def live_workers(self, now: float | None = None) -> set[str]:
         now = time.time() if now is None else now
         with self._lock:
             return {wid for wid, info in self.workers.items()
-                    if (now - info.last_seen) <= self.worker_ttl}
+                    if info.live(now, self.worker_ttl)}
 
     def workers_json(self) -> list[dict]:
         now = time.time()
@@ -200,8 +209,20 @@ class FleetCoordinator:
         return job
 
     def expire(self) -> list[Job]:
-        """Requeue expired leases; called periodically by the daemon."""
+        """Requeue expired leases; called periodically by the daemon.
+
+        Each expired lease's holder leaves the live set until it is
+        next heard from.  A holder the registry does not know (the
+        coordinator restarted since it claimed) is skipped."""
+        # Requeueing clears ``job.worker``: read the holders first.
+        holders = {job.id: job.worker
+                   for job in self.queue.jobs_in_state(RUNNING)}
         expired = self.queue.expire_leases()
+        with self._lock:
+            for job in expired:
+                info = self.workers.get(holders.get(job.id))
+                if info is not None:
+                    info.lease_expired = True
         for job in expired:
             obs.count("service.fleet_lease_expiries")
             self._publish(job.id, "job.lease_expired",

@@ -22,9 +22,9 @@ Two properties make this honest rather than merely live:
 Snapshot cadence is doubly bounded:
 
 * **geometric** — a recompute runs after ``window_events`` appends at
-  first, then only once the run has grown by ``window_growth``
-  (default 50%) since the last snapshot, so total recompute work is a
-  small constant factor of one batch analysis;
+  first, then only once the run has grown by :data:`WINDOW_GROWTH`
+  (50%) since the last snapshot, so total recompute work is a small
+  constant factor of one batch analysis;
 * **self-limiting** — each snapshot's measured cost sets the minimum
   wall gap before the next one (``cost / overhead_fraction``), so the
   streaming layer's share of wall time is bounded by
@@ -42,9 +42,15 @@ from repro.stream.sink import EventSink
 
 #: Stage names whose builders the analyzer knows how to tail.
 _STAGE2 = "stage2_tracing"
-_STAGE3_PREFIX = "stage3_"
 _STAGE4 = "stage4_syncuse"
 _STAGE1 = "stage1_baseline"
+
+#: After the first window, a rolling snapshot waits until the run has
+#: grown by this fraction of the events seen so far.
+WINDOW_GROWTH = 0.5
+
+#: Rolling (non-final) snapshots carry at most this many problems.
+TOP_PROBLEMS = 20
 
 
 class StreamAnalyzer(EventSink):
@@ -54,23 +60,17 @@ class StreamAnalyzer(EventSink):
     dict); the daemon routes payloads into the job's ``/events``
     stream, a fleet worker relays them home on its lease heartbeat.
     Payloads are also retained on :attr:`snapshots` (they are small:
-    problems are capped at ``top_problems`` except on the final
+    problems are capped at :data:`TOP_PROBLEMS` except on the final
     snapshot, which carries the full ranked list).
     """
 
     def __init__(self, *, window_events: int = 256,
-                 window_growth: float = 0.5,
-                 min_interval_seconds: float = 0.0,
                  overhead_fraction: float = 0.1,
-                 top_problems: int = 20,
                  misplaced_min_delay: float = 50e-6,
                  benefit_config=None,
                  publish=None) -> None:
         self.window_events = max(1, int(window_events))
-        self.window_growth = float(window_growth)
-        self.min_interval_seconds = float(min_interval_seconds)
         self.overhead_fraction = float(overhead_fraction)
-        self.top_problems = int(top_problems)
         self.misplaced_min_delay = misplaced_min_delay
         self.benefit_config = benefit_config
         self.publish = publish
@@ -89,7 +89,7 @@ class StreamAnalyzer(EventSink):
         self._last_total_benefit = 0.0
         #: Minimum wall gap before the next rolling snapshot; raised
         #: after each snapshot to ``cost / overhead_fraction``.
-        self._min_gap = self.min_interval_seconds
+        self._min_gap = 0.0
         self._started_wall = time.perf_counter()
         self._last_publish_wall = self._started_wall
 
@@ -136,12 +136,11 @@ class StreamAnalyzer(EventSink):
     def _partial_stage3(self):
         """Merged partial stage-3 evidence, mirroring ``merge_stage3``:
         sync uses from the memtrace run, transfer hashes from the
-        hashing run (one ``both`` run supplies either)."""
+        hashing run."""
         from repro.core.records import Stage3Data
 
-        both = self._stage3_data("stage3_both")
-        mem = self._stage3_data("stage3_memtrace") or both
-        hsh = self._stage3_data("stage3_hashing") or both
+        mem = self._stage3_data("stage3_memtrace")
+        hsh = self._stage3_data("stage3_hashing")
         return Stage3Data(
             execution_time=0.0,
             sync_uses=mem.sync_uses if mem is not None else [],
@@ -187,7 +186,7 @@ class StreamAnalyzer(EventSink):
         elif _STAGE2 in self._live:
             counts["stage2"] = len(self._live[_STAGE2])
 
-        for stage in ("stage3_both", "stage3_memtrace", "stage3_hashing"):
+        for stage in ("stage3_memtrace", "stage3_hashing"):
             data = self._finished.get(stage)
             if data is not None:
                 counts["stage3"] += (len(data.sync_uses)
@@ -234,7 +233,7 @@ class StreamAnalyzer(EventSink):
                     instrumentation_intervals=intervals,
                     misplaced_min_delay=self.misplaced_min_delay,
                     benefit_config=self.benefit_config,
-                    materialize_limit=self.top_problems,
+                    materialize_limit=TOP_PROBLEMS,
                 )
 
         counts = self._event_counts()
@@ -245,7 +244,7 @@ class StreamAnalyzer(EventSink):
                     if analysis is not None else ())
         problems = analysis.problems if analysis is not None else []
         total_benefit = float(sum(nb.est_benefit for nb in per_node))
-        cap = None if final else self.top_problems
+        cap = None if final else TOP_PROBLEMS
         now = time.perf_counter()
         age = now - self._last_publish_wall
         window = self._pending
@@ -279,11 +278,10 @@ class StreamAnalyzer(EventSink):
         self._pending = 0
         self._next_window = max(
             self.window_events,
-            int(counts["total"] * self.window_growth),
+            int(counts["total"] * WINDOW_GROWTH),
         )
         if self.overhead_fraction > 0:
-            self._min_gap = max(self.min_interval_seconds,
-                                (now - t0) / self.overhead_fraction)
+            self._min_gap = (now - t0) / self.overhead_fraction
         self._last_total_benefit = total_benefit
         self._last_publish_wall = now
         self.snapshots.append(payload)

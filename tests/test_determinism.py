@@ -86,20 +86,6 @@ class TestParallelByteIdentity:
         name = "synthetic-unnecessary-sync"
         assert _serial_json(name) == _parallel_json(name, jobs=1)
 
-    def test_unsplit_stage3_mode_is_also_deterministic(self):
-        config = DiogenesConfig(split_sync_transfer_runs=False)
-        serial = dumps_report(
-            Diogenes(_app("synthetic-unnecessary-sync"), config).run())
-        with StageExecutor(jobs=4) as executor:
-            parallel = dumps_report(
-                Diogenes(_app("synthetic-unnecessary-sync"), config,
-                         executor=executor).run())
-        with StageExecutor(jobs=1) as executor:
-            inline = dumps_report(
-                Diogenes(_app("synthetic-unnecessary-sync"), config,
-                         executor=executor).run())
-        assert serial == parallel == inline
-
     def test_hand_built_workload_is_rejected_loudly(self):
         from repro.apps.synthetic import QuietApp
 
@@ -141,8 +127,7 @@ class TestWarmCache:
         _parallel_json("synthetic-unnecessary-sync", jobs=1,
                        cache_dir=tmp_path)
         with obs.enabled() as session:
-            with StageExecutor(jobs=1, cache_dir=tmp_path,
-                               use_cache=False) as executor:
+            with StageExecutor(jobs=1) as executor:
                 dumps_report(Diogenes(_app("synthetic-unnecessary-sync"),
                                       executor=executor).run())
         assert not session.metrics.series("exec.cache_hits")
@@ -230,7 +215,6 @@ class TestConfigRoundTrip:
                 cost_params=CostParameters(h2d_bandwidth=1e9),
                 compute_engines=2),
             dedup_policy="content+dst",
-            split_sync_transfer_runs=False,
             benefit=BenefitConfig(cap_misplaced_at_wait=False),
         )
         assert config_from_json(config_to_json(config)) == config

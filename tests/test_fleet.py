@@ -581,6 +581,23 @@ class TestHeldPull:
             assert pulled["id"] == job["id"] and pulled["attempts"] == 2
             assert at - claimed["lease_expires"] < 1.0
 
+    def test_held_pull_claims_a_job_its_dead_owner_lost(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0,
+                            lease_seconds=0.3) as (client, daemon):
+            job = client.submit(APP, PARAMS)["job"]
+            # The dead worker owns the key: until its lease expiry
+            # counts against it, the job stays reserved for it.
+            ghost = _owner_against(job["report_key"], "rescuer")
+            client.fleet_register(ghost)
+            claimed_at = time.time()
+            assert client.fleet_pull(ghost)["id"] == job["id"]
+            pulled, at = _hold_pull(client, daemon, "rescuer")()
+            assert pulled is not None and pulled["id"] == job["id"]
+            assert pulled["attempts"] == 2
+            assert at - claimed_at < 2.0
+            workers = {w["id"]: w for w in client.fleet_workers()["workers"]}
+            assert workers[ghost]["live"] is False
+
     def test_held_pull_wakes_on_a_fail_requeue(self, tmp_path):
         with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
             job = client.submit(APP, PARAMS)["job"]
@@ -839,6 +856,20 @@ class TestCoordinatorUnits:
         assert adopted[0]["parent_id"] == roots[0]["span_id"]
         assert adopted[0]["pid"] == 4242
         assert roots[0]["wall_end"] >= max(s["wall_end"] for s in spans)
+
+    def test_expired_lease_holder_is_dead_until_heard_from(self, tmp_path):
+        queue, _, fleet = self._fixture(tmp_path, lease_seconds=0.05)
+        job, _ = self._submit_real(queue)
+        fleet.register("w1")
+        assert fleet.pull("w1").id == job.id
+        time.sleep(0.1)
+        assert [j.id for j in fleet.expire()] == [job.id]
+        assert "w1" not in fleet.live_workers()
+        (info,) = fleet.workers_json()
+        assert info["live"] is False
+        json.dumps(info, allow_nan=False)  # a finite last_seen
+        assert fleet.pull("w1").attempts == 2  # heard from again
+        assert fleet.live_workers() == {"w1"}
 
     def test_unknown_job_raises_key_error(self, tmp_path):
         _, _, fleet = self._fixture(tmp_path)

@@ -112,6 +112,17 @@ class TestCli:
         args = parser.parse_args(["run", "amg", "--view", "overview"])
         assert args.workload == "amg"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "synthetic-unnecessary-sync", "--no-cache"],
+        ["batch", "synthetic-unnecessary-sync", "--no-cache"],
+    ])
+    def test_no_cache_flag_is_gone(self, argv, capsys):
+        # A run without --cache-dir neither reads nor writes a cache.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

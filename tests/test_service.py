@@ -632,6 +632,17 @@ class TestDaemonValidation:
             client.submit(APP, {"bogus_arg": 1})
         assert info.value.status == 400
 
+    def test_retired_config_field_is_400(self, service):
+        # Stage 3 always runs as two collection runs: no config field
+        # merges them, and a config naming an unknown field is refused.
+        client, _ = service
+        config = dict(config_to_json(DiogenesConfig()),
+                      split_sync_transfer_runs=False)
+        with pytest.raises(ServiceError,
+                           match="split_sync_transfer_runs") as info:
+            client.submit(APP, PARAMS, config=config)
+        assert info.value.status == 400
+
     def test_unknown_report_and_job_are_404(self, service):
         client, _ = service
         with pytest.raises(ServiceError, match="no stored report") as info:

@@ -63,16 +63,6 @@ class TestSingleRunCollection:
 
 
 class TestDiogenesConfigPlumbing:
-    def test_unsplit_stage3_single_run(self):
-        config = DiogenesConfig(split_sync_transfer_runs=False)
-        report = Diogenes(UnnecessarySyncApp(iterations=3), config).run()
-        assert "stage3_hashing" not in report.overhead.stage_times
-        assert "stage3_memtrace" in report.overhead.stage_times
-        # Analysis output is unaffected by the run split.
-        split_report = Diogenes(UnnecessarySyncApp(iterations=3)).run()
-        assert len(report.analysis.problems) == \
-            len(split_report.analysis.problems)
-
     def test_split_mode_has_five_collection_runs(self):
         report = Diogenes(UnnecessarySyncApp(iterations=3)).run()
         assert len(report.overhead.stage_times) == 5

@@ -147,7 +147,7 @@ class TestDistributedStitching:
         obs.disable()
         spec = WorkloadSpec.from_params(APP, PARAMS)
         with obs.enabled() as session:
-            with StageExecutor(jobs=4, use_cache=False) as executor:
+            with StageExecutor(jobs=4) as executor:
                 results = executor.run_workloads([spec], DiogenesConfig())
         session.results = results[spec]
         obs.disable()
@@ -224,7 +224,7 @@ class TestTracedByteIdentity:
         serial = dumps_report(
             Diogenes(registry.create(APP, **PARAMS)).run())
         with obs.enabled() as session:
-            with StageExecutor(jobs=4, use_cache=False) as executor:
+            with StageExecutor(jobs=4) as executor:
                 report = Diogenes(registry.create(APP, **PARAMS),
                                   executor=executor).run()
             traced = dumps_report(report)
