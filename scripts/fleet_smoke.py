@@ -37,7 +37,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
-from repro.fleet import HashRing  # noqa: E402
 from repro.service import DONE, RUNNING, ServiceClient, ServiceError  # noqa: E402
 
 #: The four committed golden fixtures (mirrors tests/goldens.py).
@@ -74,19 +73,6 @@ def _wait_healthy(client: ServiceClient, timeout: float = 30.0) -> None:
             time.sleep(0.2)
 
 
-def _owner(key: str, ring_nodes: list[str], rival: str) -> str:
-    """A worker id that owns ``key`` against the live ``rival`` on a
-    ring of ``ring_nodes`` plus itself."""
-    for i in range(1000):
-        ring = HashRing()
-        for node in ring_nodes + [f"smoke-w3-{i}"]:
-            ring.add(node)
-        if ring.node_for(key, alive={rival, f"smoke-w3-{i}"}) \
-                == f"smoke-w3-{i}":
-            return f"smoke-w3-{i}"
-    raise AssertionError(f"no worker id owns {key}")
-
-
 def _metric(text: str, name: str) -> float:
     for line in text.splitlines():
         if line.startswith(name + " "):
@@ -109,7 +95,7 @@ def main() -> int:
     coordinator = _spawn(_cli(
         "serve", "--port", str(args.port), "--data-dir", args.data_dir,
         "--workers", "0",
-        "--lease-seconds", "2", "--worker-ttl", "4"))
+        "--lease-seconds", "2"))
     procs.append(coordinator)
     client = ServiceClient(url, retries=6)
     try:
@@ -183,11 +169,10 @@ def main() -> int:
                   f"tree under service.job, worker={trace['worker']} "
                   f"-> {out}")
 
-        # Worker 3 owns the next job's key on the ring, so without the
-        # coordinator's hang-up check its dead held pull would take it.
+        # A submit wakes every held pull, so without the coordinator's
+        # hang-up check worker 3's dead one could take the next job.
         name, params = GOLDEN_APPS["synthetic"]
-        w3_id = _owner(jobs["synthetic"]["report_key"],
-                       ["smoke-w1", "smoke-w2"], "smoke-w2")
+        w3_id = "smoke-w3"
         w3 = _spawn(_cli("worker", "--coordinator", url, "--id", w3_id,
                          "--poll-interval", "2"))
         procs.append(w3)

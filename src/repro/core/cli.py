@@ -144,10 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lease-seconds", type=float, default=30.0,
                        metavar="S",
                        help="fleet worker lease duration; an expired lease "
-                            "returns the job for redelivery (default: 30)")
-    serve.add_argument("--worker-ttl", type=float, default=None, metavar="S",
-                       help="a worker silent this long stops owning ring "
-                            "shards (default: 60)")
+                            "returns the job for redelivery, and a worker "
+                            "silent for two leases is not live (default: 30)")
 
     worker = sub.add_parser(
         "worker",
@@ -539,8 +537,7 @@ def _cmd_serve(args) -> int:
     try:
         daemon = ServiceDaemon(args.data_dir, workers=args.workers,
                                jobs=args.jobs, max_queue=args.max_queue,
-                               lease_seconds=args.lease_seconds,
-                               worker_ttl=args.worker_ttl)
+                               lease_seconds=args.lease_seconds)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     print(f"diogenes analysis service on http://{args.host}:{args.port} "
@@ -684,10 +681,10 @@ def _cmd_tail(args) -> int:
         for ev in resp["events"]:
             after = max(after, ev["seq"])
             if ev["event"] == "events.dropped":
-                # Always visible, even in machine modes: the ring
-                # wrapped past our cursor and the stream has a gap.
+                # Always visible, even in machine modes: events past
+                # our cursor were trimmed and the stream has a gap.
                 print(f"warning: {ev.get('count', '?')} events dropped "
-                      f"before seq {ev['seq']} (ring overflow; gap in "
+                      f"before seq {ev['seq'] + 1} (trimmed; gap in "
                       f"stream)", file=sys.stderr, flush=True)
             if args.as_json:
                 print(_json.dumps(ev, sort_keys=True), flush=True)

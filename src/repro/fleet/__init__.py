@@ -7,16 +7,16 @@ nodes pull jobs, execute them through their own
 home: ``diogenes worker --coordinator URL`` processes over HTTP, and
 the daemon's own ``--workers N`` node by direct calls.
 
-* :mod:`repro.fleet.ring` — consistent-hash ring: report keys map to
-  owning workers, so a given submission always lands on the same node
-  (one layer of duplicate suppression);
 * :mod:`repro.fleet.coordinator` — coordinator-side state: the worker
-  registry, lease accounting, cross-node duplicate suppression, and
+  registry, lease accounting, duplicate suppression (a stored report
+  resolves a queued job; one whose report key is running waits), and
   the trace stitcher that roots every pushed span batch under one
   ``service.job`` tree;
 * :mod:`repro.fleet.worker` — the worker-node loop: register, pull,
   heartbeat, execute, push — and the in-process link.
 
+Any worker's pull claims the oldest eligible job: every node stores
+the same bytes under the same key, so no job belongs to one node.
 Delivery contract: jobs are leased, not handed over.  A worker that
 stops heartbeating (crash, partition, SIGKILL) loses its lease and
 the job returns to ``submitted`` for redelivery — at-least-once
@@ -33,12 +33,10 @@ Protocol, backpressure rules, and a runnable two-worker example:
 # from the service side whichever package is imported first.
 import repro.service  # noqa: F401
 from repro.fleet.coordinator import FleetCoordinator, WorkerInfo
-from repro.fleet.ring import HashRing
 from repro.fleet.worker import WorkerNode
 
 __all__ = [
     "FleetCoordinator",
-    "HashRing",
     "WorkerInfo",
     "WorkerNode",
 ]

@@ -8,21 +8,22 @@ call are thin JSON shims over another, so the protocol logic is
 testable without a socket.
 
 Scheduling rules applied by :meth:`FleetCoordinator.pull`, in order,
-per submitted job (oldest first):
+per submitted job (oldest first), so any worker's pull claims the
+oldest eligible job:
 
 1. **store dedup** — the report already exists (another node pushed it
    since submit time): the job is marked done on the spot, no
    execution anywhere.  A ``force`` job skips this check: it was
    submitted to re-run a report already stored;
 2. **in-flight dedup** — another running job carries the same report
-   key: skipped, the eventual completion will resolve this one too;
-3. **ring ownership** — the key's consistent-hash owner
-   (:mod:`repro.fleet.ring`) is a *different live* worker: skipped,
-   reserved for its owner.  A dead or unregistered owner falls
-   through, so sharding never strands work.  An expired lease takes
-   its holder off the live set until it is next heard from
-   (:meth:`FleetCoordinator.expire`), so the requeued job goes to a
-   live worker at the next pull, not after the worker TTL.
+   key: skipped, the eventual completion will resolve this one too.
+   One lock spans the running-key scan and the claim, so the check is
+   exact for every pair of pullers: remote workers, and the slots of
+   one local node.
+
+Liveness feeds only ``/fleet/workers``, the live-worker gauge and the
+held-pull cap: a worker is live until it has been silent for two
+leases or a lease it held expires (:meth:`FleetCoordinator.expire`).
 
 Completions are validated against the lease (worker id must match the
 claim) and against identity: the worker recomputes the report
@@ -46,13 +47,9 @@ import repro.obs as obs
 from repro.obs.tracer import Tracer
 from repro.service.queue import DONE, RUNNING, SUBMITTED, Job
 from repro.service.store import ReportIdentity
-from repro.fleet.ring import HashRing
 
 #: Default lease duration handed to workers at register/pull time.
 DEFAULT_LEASE_SECONDS = 30.0
-
-#: A worker silent for this long is no longer "live" for ring routing.
-DEFAULT_WORKER_TTL = 60.0
 
 #: Failed executions are redelivered until a job has been attempted
 #: this many times, then the job fails for good.
@@ -71,17 +68,12 @@ class WorkerInfo:
     #: A lease it held expired after ``last_seen``: presumed dead.
     lease_expired: bool = False
 
-    def live(self, now: float, ttl: float) -> bool:
-        return not self.lease_expired and (now - self.last_seen) <= ttl
-
-    def to_json(self, now: float | None = None,
-                ttl: float = DEFAULT_WORKER_TTL) -> dict:
-        now = time.time() if now is None else now
+    def to_json(self, now: float, ttl: float) -> dict:
         return {
             "id": self.id,
             "registered": self.registered,
             "last_seen": self.last_seen,
-            "live": self.live(now, ttl),
+            "live": not self.lease_expired and now - self.last_seen <= ttl,
             "jobs_completed": self.jobs_completed,
             "jobs_failed": self.jobs_failed,
         }
@@ -96,18 +88,17 @@ class FleetCoordinator:
 
     def __init__(self, queue, store, *,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 worker_ttl: float = DEFAULT_WORKER_TTL,
                  publish=None) -> None:
         self.queue = queue
         self.store = store
         self.lease_seconds = lease_seconds
-        self.worker_ttl = worker_ttl
         self.retry_limit = DEFAULT_RETRY_LIMIT
         #: ``publish(job_id, event_name, **fields)`` — the daemon's
         #: live event stream; a no-op default keeps this testable bare.
         self._publish = publish or (lambda job_id, name, **fields: None)
-        self.ring = HashRing()
         self.workers: dict[str, WorkerInfo] = {}
+        #: Guards the registry, and makes each pull's scan and claim
+        #: one step.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -123,12 +114,11 @@ class FleetCoordinator:
                 info = self.workers[worker_id] = WorkerInfo(id=worker_id)
             info.last_seen = time.time()
             info.lease_expired = False
-            self.ring.add(worker_id)
             obs.count("service.fleet_registrations", worker=worker_id)
             return {
                 "worker": worker_id,
                 "lease_seconds": self.lease_seconds,
-                "workers": self.ring.nodes(),
+                "workers": sorted(self.workers),
             }
 
     def touch(self, worker_id: str) -> WorkerInfo:
@@ -139,21 +129,19 @@ class FleetCoordinator:
             info = self.workers.get(worker_id)
             if info is None:
                 info = self.workers[worker_id] = WorkerInfo(id=worker_id)
-                self.ring.add(worker_id)
             info.last_seen = time.time()
             info.lease_expired = False
             return info
 
-    def live_workers(self, now: float | None = None) -> set[str]:
-        now = time.time() if now is None else now
-        with self._lock:
-            return {wid for wid, info in self.workers.items()
-                    if info.live(now, self.worker_ttl)}
+    def live_workers(self) -> set[str]:
+        return {info["id"] for info in self.workers_json() if info["live"]}
 
     def workers_json(self) -> list[dict]:
+        """Registered workers, by id; one silent for two leases, or
+        whose lease expired since it was last heard from, is not live."""
         now = time.time()
         with self._lock:
-            return [info.to_json(now, self.worker_ttl)
+            return [info.to_json(now, 2 * self.lease_seconds)
                     for _, info in sorted(self.workers.items())]
 
     # ------------------------------------------------------------------
@@ -162,29 +150,27 @@ class FleetCoordinator:
     def pull(self, worker_id: str) -> Job | None:
         """Claim the oldest eligible submitted job for this worker."""
         self.touch(worker_id)
-        alive = self.live_workers()
-        inflight = {job.report_key
-                    for job in self.queue.jobs_in_state(RUNNING)}
-        for job in self.queue.jobs_in_state(SUBMITTED):
-            if not job.force and self.store.contains(job.report_key):
-                # Another execution pushed this report since submit
-                # time: resolve without running anything, observably.
-                self._resolve_from_store(job)
-                continue
-            if job.report_key in inflight:
-                obs.count("service.fleet_dedup_suppressed")
-                continue
-            owner = self.ring.node_for(job.report_key, alive=alive)
-            if owner is not None and owner != worker_id:
-                continue  # reserved for its consistent-hash owner
-            claimed = self.queue.claim_job(job.id, worker=worker_id,
-                                           lease_seconds=self.lease_seconds)
-            if claimed is None:
-                continue  # raced by a concurrent pull; keep scanning
-            obs.count("service.fleet_pulls", worker=worker_id)
-            self._publish(claimed.id, "job.leased", worker=worker_id,
-                          attempts=claimed.attempts)
-            return claimed
+        with self._lock:
+            inflight = {job.report_key
+                        for job in self.queue.jobs_in_state(RUNNING)}
+            for job in self.queue.jobs_in_state(SUBMITTED):
+                if not job.force and self.store.contains(job.report_key):
+                    # Another execution pushed this report since submit
+                    # time: resolve without running anything, observably.
+                    self._resolve_from_store(job)
+                    continue
+                if job.report_key in inflight:
+                    obs.count("service.fleet_dedup_suppressed")
+                    continue
+                claimed = self.queue.claim_job(
+                    job.id, worker=worker_id,
+                    lease_seconds=self.lease_seconds)
+                if claimed is None:
+                    continue  # resolved meanwhile; keep scanning
+                obs.count("service.fleet_pulls", worker=worker_id)
+                self._publish(claimed.id, "job.leased", worker=worker_id,
+                              attempts=claimed.attempts)
+                return claimed
         return None
 
     def heartbeat(self, worker_id: str, job_id: str,

@@ -68,15 +68,16 @@ the tree beside the report store, keyed by job id.  On any final
 ``<data-dir>/flight/<job-id>.jsonl`` (the flight recorder).
 
 Crash safety: the job queue is persistent (`repro.service.queue`);
-a job whose lease expires — its node died, this daemon's included —
-is requeued and re-executed, which is safe because execution is
-deterministic and both stores are content-addressed and
-transactional.
+a job whose node died is requeued and re-executed — when its lease
+expires, or at restart if the node was this daemon's own — which is
+safe because execution is deterministic and both stores are
+content-addressed and transactional.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import math
 import os
@@ -96,13 +97,17 @@ from repro.exec.fingerprint import (
 )
 from repro.exec.jobs import WorkloadSpec
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.worker import LocalLink, WorkerNode
+from repro.fleet.worker import LocalLink, WorkerNode, default_worker_id
 from repro.service.client import ServiceError
-from repro.service.queue import DONE, FAILED, STATES, Job, JobQueue
+from repro.service.queue import DONE, FAILED, RUNNING, STATES, Job, JobQueue
 from repro.service.store import ReportStore, report_identity
 
 #: Events retained per job for the ``/events`` stream.
 _EVENTS_PER_JOB = 1000
+
+#: Finished jobs whose ``/events`` streams are kept whole; an older
+#: finished job keeps only its terminal event.
+_FINISHED_STREAMS = 64
 
 #: Idle keep-alive connections are closed after this many seconds so
 #: abandoned clients can't pin handler tasks forever.
@@ -127,6 +132,19 @@ class _HttpError(Exception):
         self.headers = headers or {}
 
 
+def _node_id(data_dir: str) -> str:
+    """The in-process node's id, made once per data directory (the
+    first daemon's ``<hostname>-<pid>``): a restarted daemon is the
+    same fleet node."""
+    path = os.path.join(data_dir, "node-id")
+    if not os.path.exists(path):
+        with open(path + ".tmp", "w") as fp:
+            fp.write(default_worker_id() + "\n")
+        os.replace(path + ".tmp", path)  # a crash leaves no empty id
+    with open(path) as fp:
+        return fp.read().strip()
+
+
 class ServiceDaemon:
     """One long-lived analysis service over one data directory.
 
@@ -136,13 +154,14 @@ class ServiceDaemon:
     refused with a ``ValueError``, not ignored.
     ``workers`` is the slot count of the in-process fleet node (0:
     none, a pure coordinator); ``jobs`` is the process fan-out each
-    analysis may use (1 = inline in the slot thread).
+    analysis may use (1 = inline in the slot thread).  The node's id
+    lives in ``<data-dir>/node-id``; jobs still leased to it from a
+    previous process are requeued at once, whatever ``workers`` is.
     """
 
     def __init__(self, data_dir: str | os.PathLike, *, workers: int = 2,
                  jobs: int = 1, max_queue: int | None = None,
-                 lease_seconds: float = 30.0,
-                 worker_ttl: float | None = None) -> None:
+                 lease_seconds: float = 30.0) -> None:
         if workers < 0:
             # 0 is a pure coordinator: nothing executes locally, all
             # work is pulled by `diogenes worker` processes.
@@ -153,14 +172,15 @@ class ServiceDaemon:
         os.makedirs(self.data_dir, exist_ok=True)
         self.queue = JobQueue(os.path.join(self.data_dir, "queue"))
         self.store = ReportStore(os.path.join(self.data_dir, "store"))
+        node_id = _node_id(self.data_dir)
+        for job in self.queue.jobs_in_state(RUNNING):
+            if job.worker == node_id:  # its previous process is gone
+                self.queue.requeue(job)
         self.workers = workers
         self.max_queue = max_queue
-        fleet_kwargs = {} if worker_ttl is None else {
-            "worker_ttl": worker_ttl}
         self.fleet = FleetCoordinator(self.queue, self.store,
                                       lease_seconds=lease_seconds,
-                                      publish=self._publish,
-                                      **fleet_kwargs)
+                                      publish=self._publish)
         # One shared default config: submits without an explicit
         # config (the common case) skip rebuilding the nested
         # dataclasses per request — and skip re-encoding/digesting
@@ -172,7 +192,8 @@ class ServiceDaemon:
         #: transport, and what the ``/fleet/*`` routes decode onto.
         self.link = LocalLink(self.fleet, self._publish)
         #: The node the ``workers`` slots share (one id, one executor).
-        self.node = WorkerNode(self.link, jobs=jobs) if workers else None
+        self.node = (WorkerNode(self.link, worker_id=node_id, jobs=jobs)
+                     if workers else None)
         self.session: obs.Observability | None = None
         #: Set once the server socket is bound (the ephemeral-port case).
         self.bound_port: int | None = None
@@ -188,14 +209,13 @@ class ServiceDaemon:
         self._idle: set[asyncio.StreamWriter] = set()
         #: Per-job live event streams for ``/events`` (worker threads
         #: append under the lock; the asyncio side reads snapshots).
+        #: A job's ``seq`` climbs from its last retained event, so the
+        #: first retained one tells how many were trimmed.
         self._events: dict[str, list[dict]] = {}
         self._events_lock = threading.Lock()
-        #: Monotone per-job sequence counters — sequence numbers keep
-        #: climbing after the ring trims, so a client cursor can always
-        #: tell "new event" from "retained event it already saw".
-        self._event_seq: dict[str, int] = {}
-        #: Cumulative events trimmed from each job's ring.
-        self._events_dropped: dict[str, int] = {}
+        #: (job id, terminal event) of the finished jobs whose streams
+        #: are whole, oldest first.
+        self._finished: collections.deque = collections.deque()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -330,34 +350,40 @@ class ServiceDaemon:
         recorder, whichever node ran the job."""
         with self._events_lock:
             stream = self._events.setdefault(job_id, [])
-            seq = self._event_seq.get(job_id, 0) + 1
-            self._event_seq[job_id] = seq
-            event = {"seq": seq, "ts": time.time(),
-                     "event": name, "job": job_id, **fields}
+            event = {"seq": stream[-1]["seq"] + 1 if stream else 1,
+                     "ts": time.time(), "event": name, "job": job_id,
+                     **fields}
             stream.append(event)
             # Bounded: a runaway job must not grow memory without limit.
             if len(stream) > _EVENTS_PER_JOB:
                 dropped = len(stream) - _EVENTS_PER_JOB
                 del stream[:dropped]
-                self._events_dropped[job_id] = (
-                    self._events_dropped.get(job_id, 0) + dropped)
                 obs.count("service.events_dropped_total", dropped)
         if name == "job.failed":
             self._dump_flight(job_id, fields.get("trace_id"))
+        if name in ("job.done", "job.failed"):
+            # Bounded over any number of jobs: an older finished stream
+            # shrinks to its terminal event, all a late ``/events``
+            # reader or ``diogenes tail`` needs.
+            with self._events_lock:
+                self._finished.append((job_id, event))
+                if len(self._finished) > _FINISHED_STREAMS:
+                    oldest, terminal = self._finished.popleft()
+                    self._events[oldest] = [terminal]
 
     def _job_events(self, job_id: str, after: int) -> list[dict]:
         with self._events_lock:
             stream = self._events.get(job_id, ())
             events = [e for e in stream if e["seq"] > after]
-            if self._events_dropped.get(job_id) and stream \
-                    and after < stream[0]["seq"] - 1:
-                # The ring wrapped past this cursor.  A synthetic
+            first = stream[0]["seq"] if stream else 1
+            if first > 1 and after < first - 1:
+                # Events past this cursor were trimmed.  A synthetic
                 # marker surfaces the gap — its seq is the last missed
                 # one, so the client's cursor still advances correctly.
                 events.insert(0, {
-                    "seq": stream[0]["seq"] - 1, "ts": time.time(),
+                    "seq": first - 1, "ts": time.time(),
                     "event": "events.dropped", "job": job_id,
-                    "count": stream[0]["seq"] - 1 - after,
+                    "count": first - 1 - after,
                 })
             return events
 
@@ -638,12 +664,13 @@ class ServiceDaemon:
         up to ``wait`` seconds and rescan whenever :meth:`_notify` wakes
         it.  ``None`` when the wait runs out or the daemon stops.
 
-        The wait is capped at ``_MAX_POLL_SECONDS`` and at half the
-        worker TTL, so a held worker never drops out of the ring.  A
-        peer that closed its end during the hold is never leased a job.
+        The wait is capped at ``_MAX_POLL_SECONDS`` and at one lease,
+        half the silence after which a worker is no longer live, so a
+        held worker stays live.  A peer that closed its end during the
+        hold is never leased a job.
         """
         deadline = time.monotonic() + min(wait, _MAX_POLL_SECONDS,
-                                          self.fleet.worker_ttl / 2)
+                                          self.fleet.lease_seconds)
         while not self._stop.is_set():
             woken = self._pulls_woken  # taken before the scan: no lost wake
             job = self.link.fleet_pull(worker)

@@ -246,8 +246,8 @@ async function poll() {
       else if (ev.event === "events.dropped") {
         const gap = $("gap");
         gap.style.display = "block";
-        gap.textContent = "⚠ event ring overflowed: " + ev.count +
-          " events dropped before seq " + ev.seq;
+        gap.textContent = "⚠ gap in stream: " + ev.count +
+          " events dropped before seq " + (ev.seq + 1);
         logEvent(ev);
       } else logEvent(ev);
     }

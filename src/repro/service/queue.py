@@ -46,6 +46,13 @@ FAILED = "failed"
 STATES = (SUBMITTED, RUNNING, DONE, FAILED)
 
 
+def _oldest_first(job_ids) -> list[str]:
+    """Job ids in submission order.  Ids are ``job-`` and a sequence
+    number padded to six digits, so past ``job-999999`` a longer id is
+    a later one."""
+    return sorted(job_ids, key=lambda job_id: (len(job_id), job_id))
+
+
 @dataclass
 class Job:
     """One workload-analysis submission, as persisted."""
@@ -190,7 +197,8 @@ class JobQueue:
 
     def _leases_locked(self) -> list[Job]:
         """Running jobs held under a lease (worker id and deadline)."""
-        return [job for job in map(self._jobs.get, sorted(self._running))
+        return [job for job in map(self._jobs.get,
+                                   _oldest_first(self._running))
                 if job.worker is not None and job.lease_expires is not None]
 
     # ------------------------------------------------------------------
@@ -207,7 +215,7 @@ class JobQueue:
         now = time.time()
         requeued = []
         with self._lock:
-            for job_id in sorted(self._running):
+            for job_id in _oldest_first(self._running):
                 job = self._jobs[job_id]
                 if job.worker is not None and (
                         job.lease_expires or 0) > now:
@@ -247,7 +255,7 @@ class JobQueue:
         default (both ``None``) is an unleased claim.
         """
         with self._lock:
-            for job_id in sorted(self._pending):
+            for job_id in _oldest_first(self._pending):
                 job = self._jobs[job_id]
                 self._claim_locked(job, worker, lease_seconds)
                 return job
@@ -331,7 +339,8 @@ class JobQueue:
     def jobs(self) -> list[Job]:
         """Every job, oldest first."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in sorted(self._jobs)]
+            return [self._jobs[job_id]
+                    for job_id in _oldest_first(self._jobs)]
 
     def jobs_in_state(self, state: str) -> list[Job]:
         """Jobs currently in ``state``, oldest first.
@@ -343,8 +352,9 @@ class JobQueue:
             index = {SUBMITTED: self._pending,
                      RUNNING: self._running}.get(state)
             if index is not None:
-                return [self._jobs[job_id] for job_id in sorted(index)]
-            return [self._jobs[job_id] for job_id in sorted(self._jobs)
+                return [self._jobs[job_id]
+                        for job_id in _oldest_first(index)]
+            return [self._jobs[job_id] for job_id in _oldest_first(self._jobs)
                     if self._jobs[job_id].state == state]
 
     def active_leases(self, now: float | None = None) -> int:

@@ -6,8 +6,9 @@ The contracts that keep the fleet honest:
   serial CLI report — scale-out changes throughput, never bytes;
 * jobs are leased, not handed over: a worker that stops heartbeating
   loses its lease and the job is redelivered, exactly once resolved;
-* duplicate submissions across nodes are suppressed through the
-  content-addressed store and the consistent-hash ring;
+* duplicate submissions are suppressed through the content-addressed
+  store and an exact in-flight check: any worker claims the oldest
+  job, but never one whose report key is already running;
 * a saturated queue answers 429 + Retry-After and the client honours
   it (jittered exponential backoff on connection errors too);
 * an idle worker's pull is held by the coordinator and answered as
@@ -38,7 +39,7 @@ from repro.core.diogenes import Diogenes, DiogenesConfig
 from repro.core.jsonio import dumps_report
 from repro.exec.fingerprint import config_to_json
 from repro.exec.jobs import WorkloadSpec
-from repro.fleet import FleetCoordinator, HashRing, WorkerNode
+from repro.fleet import FleetCoordinator, WorkerNode
 from repro.fleet.coordinator import stitch_trace
 from repro.service import (
     DONE,
@@ -118,82 +119,6 @@ def _run_worker(url, worker_id, max_jobs, **kwargs):
                               daemon=True)
     thread.start()
     return node, thread
-
-
-# ----------------------------------------------------------------------
-# Consistent-hash ring
-# ----------------------------------------------------------------------
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        a, b = HashRing(), HashRing()
-        for node in ("w1", "w2", "w3"):
-            a.add(node)
-        for node in ("w3", "w1", "w2"):  # insertion order must not matter
-            b.add(node)
-        keys = [f"key-{i}" for i in range(200)]
-        assert [a.node_for(k) for k in keys] == [b.node_for(k) for k in keys]
-
-    def test_spread_is_roughly_uniform(self):
-        ring = HashRing()
-        for node in ("w1", "w2", "w3"):
-            ring.add(node)
-        owners = [ring.node_for(f"key-{i}") for i in range(3000)]
-        for node in ("w1", "w2", "w3"):
-            share = owners.count(node) / len(owners)
-            assert 0.15 < share < 0.55, f"{node} owns {share:.0%}"
-
-    def test_adding_a_node_remaps_a_minority(self):
-        ring = HashRing()
-        for node in ("w1", "w2", "w3"):
-            ring.add(node)
-        keys = [f"key-{i}" for i in range(2000)]
-        before = {k: ring.node_for(k) for k in keys}
-        ring.add("w4")
-        moved = sum(1 for k in keys if ring.node_for(k) != before[k])
-        # Theory says ~1/4 of the key space moves; allow slack, but a
-        # naive modulo hash would move ~3/4.
-        assert moved / len(keys) < 0.45
-        # Every moved key landed on the new node, nowhere else.
-        assert all(ring.node_for(k) == "w4" for k in keys
-                   if ring.node_for(k) != before[k])
-
-    def test_removing_a_node_only_reassigns_its_keys(self):
-        ring = HashRing()
-        for node in ("w1", "w2", "w3"):
-            ring.add(node)
-        keys = [f"key-{i}" for i in range(1000)]
-        before = {k: ring.node_for(k) for k in keys}
-        ring.remove("w2")
-        for k in keys:
-            if before[k] != "w2":
-                assert ring.node_for(k) == before[k]
-            else:
-                assert ring.node_for(k) in ("w1", "w3")
-
-    def test_liveness_fallback_walks_past_dead_nodes(self):
-        ring = HashRing()
-        for node in ("w1", "w2"):
-            ring.add(node)
-        key = "some-report-key"
-        owner = ring.node_for(key)
-        other = "w2" if owner == "w1" else "w1"
-        assert ring.node_for(key, alive={owner, other}) == owner
-        assert ring.node_for(key, alive={other}) == other
-        assert ring.node_for(key, alive=set()) is None
-
-    def test_empty_ring_and_membership(self):
-        ring = HashRing()
-        assert ring.node_for("k") is None
-        ring.add("w1")
-        ring.add("w1")  # idempotent
-        assert "w1" in ring and len(ring) == 1
-        ring.remove("w1")
-        ring.remove("w1")  # idempotent
-        assert ring.node_for("k") is None and ring.nodes() == []
-
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ValueError, match="replicas"):
-            HashRing(replicas=0)
 
 
 # ----------------------------------------------------------------------
@@ -365,18 +290,6 @@ class TestFleetEndToEnd:
             assert client.wait(dup["id"], timeout=30)["state"] == DONE
             assert node.jobs_completed == 1
 
-    def test_ring_reserves_jobs_for_their_owner(self, tmp_path):
-        with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
-            client.fleet_register("w1")
-            client.fleet_register("w2")
-            job = client.submit(APP, PARAMS)["job"]
-            owner = daemon.fleet.ring.node_for(job["report_key"],
-                                               alive={"w1", "w2"})
-            loser = "w2" if owner == "w1" else "w1"
-            assert client.fleet_pull(loser) is None
-            pulled = client.fleet_pull(owner)
-            assert pulled is not None and pulled["id"] == job["id"]
-
     def test_lease_expiry_redelivers_to_a_live_worker(self, tmp_path):
         serial = _serial_json(APP, PARAMS)
         with running_daemon(tmp_path / "svc", workers=0,
@@ -543,16 +456,11 @@ def _hold_pull(client, daemon, worker, wait=5.0):
     return answer
 
 
-def _owner_against(key: str, other: str) -> str:
-    """A worker id that owns ``key`` on a two-node ring with ``other``
-    (report keys follow the code fingerprint, so owners move)."""
-    for i in range(100):
-        ring = HashRing()
-        ring.add(other)
-        ring.add(f"rescuer-{i}")
-        if ring.node_for(key) == f"rescuer-{i}":
-            return f"rescuer-{i}"
-    raise AssertionError("no owner found")
+def _until_near_expiry(job: dict) -> None:
+    """Sleep until 50 ms before ``job``'s lease runs out.  A pull is
+    held for at most one lease, so one held from then spans the
+    lease sweep's requeue."""
+    time.sleep(max(0.0, job["lease_expires"] - time.time() - 0.05))
 
 
 class TestHeldPull:
@@ -572,12 +480,12 @@ class TestHeldPull:
         with running_daemon(tmp_path / "svc", workers=0,
                             lease_seconds=0.3) as (client, daemon):
             job = client.submit(APP, PARAMS)["job"]
-            rescuer = _owner_against(job["report_key"], "ghost")
             # A worker claims the job, then dies: no heartbeat, no push.
             client.fleet_register("ghost")
             claimed = client.fleet_pull("ghost")
             assert claimed["id"] == job["id"]
-            pulled, at = _hold_pull(client, daemon, rescuer)()
+            _until_near_expiry(claimed)
+            pulled, at = _hold_pull(client, daemon, "rescuer")()
             assert pulled["id"] == job["id"] and pulled["attempts"] == 2
             assert at - claimed["lease_expires"] < 1.0
 
@@ -585,18 +493,17 @@ class TestHeldPull:
         with running_daemon(tmp_path / "svc", workers=0,
                             lease_seconds=0.3) as (client, daemon):
             job = client.submit(APP, PARAMS)["job"]
-            # The dead worker owns the key: until its lease expiry
-            # counts against it, the job stays reserved for it.
-            ghost = _owner_against(job["report_key"], "rescuer")
-            client.fleet_register(ghost)
+            client.fleet_register("ghost")
             claimed_at = time.time()
-            assert client.fleet_pull(ghost)["id"] == job["id"]
+            claimed = client.fleet_pull("ghost")
+            assert claimed["id"] == job["id"]
+            _until_near_expiry(claimed)
             pulled, at = _hold_pull(client, daemon, "rescuer")()
             assert pulled is not None and pulled["id"] == job["id"]
             assert pulled["attempts"] == 2
             assert at - claimed_at < 2.0
             workers = {w["id"]: w for w in client.fleet_workers()["workers"]}
-            assert workers[ghost]["live"] is False
+            assert workers["ghost"]["live"] is False
 
     def test_held_pull_wakes_on_a_fail_requeue(self, tmp_path):
         with running_daemon(tmp_path / "svc", workers=0) as (client, daemon):
@@ -620,10 +527,17 @@ class TestHeldPull:
 
     def test_held_pull_is_capped_below_the_worker_ttl(self, tmp_path):
         with running_daemon(tmp_path / "svc", workers=0,
-                            worker_ttl=0.8) as (client, _):
+                            lease_seconds=0.4) as (client, _):
             t0 = time.monotonic()
             assert client.fleet_pull("w1", wait=5.0) is None
-            assert 0.3 <= time.monotonic() - t0 < 1.5  # held TTL/2
+            assert 0.3 <= time.monotonic() - t0 < 1.5  # held one lease
+
+    def test_serve_worker_ttl_option_is_gone(self, capsys):
+        # Liveness is two leases; a held pull is capped at one.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--worker-ttl", "4"])
+        assert exit_info.value.code == 2
+        assert "--worker-ttl" in capsys.readouterr().err
 
     def test_one_submission_is_claimed_once_by_its_ring_owner(
             self, tmp_path):
@@ -632,14 +546,15 @@ class TestHeldPull:
                     for worker in ("w1", "w2")}
             submitted = time.time()
             job = client.submit(APP, PARAMS)["job"]
-            owner = daemon.fleet.ring.node_for(job["report_key"],
-                                               alive={"w1", "w2"})
-            loser = "w2" if owner == "w1" else "w1"
-            pulled, at = held[owner]()
+            answers = {worker: answer() for worker, answer in held.items()}
+            (winner,) = [worker for worker, (pulled, _) in answers.items()
+                         if pulled is not None]
+            pulled, at = answers[winner]
             assert pulled["id"] == job["id"] and at - submitted < 1.0
-            assert held[loser]()[0] is None
+            (loser,) = set(answers) - {winner}
+            assert answers[loser][0] is None
             record = client.job(job["id"])
-            assert record["worker"] == owner and record["attempts"] == 1
+            assert record["worker"] == winner and record["attempts"] == 1
 
     def test_pull_held_by_a_peer_that_hung_up_claims_nothing(
             self, tmp_path):
@@ -835,6 +750,48 @@ class TestCoordinatorUnits:
         assert fleet.pull("w1").id == waiting.id
         assert set(touched) <= {running.id, waiting.id}
 
+    def test_idle_worker_claims_every_job_oldest_first(self, tmp_path):
+        queue, _, fleet = self._fixture(tmp_path)
+        jobs = [queue.submit(APP, {"i": i}, {}, f"key-{i}")
+                for i in range(8)]
+        fleet.register("w1")
+        fleet.register("w2")
+        assert fleet.pull("w1").id == jobs[0].id == "job-000001"
+        # No job waits for a busy owner: while w1 holds its lease, the
+        # idle w2 claims the other seven in submission order.
+        assert [fleet.pull("w2").id for _ in range(7)] == \
+            [job.id for job in jobs[1:]]
+        assert queue.get(jobs[0].id).worker == "w1"
+        assert fleet.pull("w2") is None
+
+    def test_concurrent_pulls_claim_one_of_two_duplicates(
+            self, tmp_path, monkeypatch):
+        queue, _, fleet = self._fixture(tmp_path)
+        first = queue.submit(APP, {}, {}, "one-key")
+        second = queue.submit(APP, {}, {}, "one-key")
+        jobs_in_state = queue.jobs_in_state
+
+        def widened(state):
+            # Two pulls that both read the running keys before either
+            # claims would each claim one of the duplicates.
+            jobs = jobs_in_state(state)
+            if state == RUNNING:
+                time.sleep(0.2)
+            return jobs
+
+        monkeypatch.setattr(queue, "jobs_in_state", widened)
+        fleet.register("node")  # two slots of one node: one worker id
+        claimed = []
+        pulls = [threading.Thread(
+            target=lambda: claimed.append(fleet.pull("node")))
+            for _ in range(2)]
+        for thread in pulls:
+            thread.start()
+        for thread in pulls:
+            thread.join(10)
+        assert [job.id for job in claimed if job is not None] == [first.id]
+        assert queue.get(second.id).state == SUBMITTED
+
     def test_stitch_trace_rebases_and_roots_worker_spans(self, tmp_path):
         queue, _, _ = self._fixture(tmp_path)
         job, _ = self._submit_real(queue)
@@ -878,6 +835,12 @@ class TestCoordinatorUnits:
             fleet.complete("w1", "job-404404", {}, {}, None)
         with pytest.raises(KeyError):
             fleet.fail("w1", "job-404404", "boom")
+
+    def test_register_reply_lists_the_registry(self, tmp_path):
+        _, _, fleet = self._fixture(tmp_path)
+        fleet.register("w2")
+        fleet.pull("w3")  # a pull registers an unknown worker too
+        assert fleet.register("w1")["workers"] == ["w1", "w2", "w3"]
 
     def test_register_validates_worker_id(self, tmp_path):
         _, _, fleet = self._fixture(tmp_path)

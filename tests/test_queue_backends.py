@@ -177,6 +177,14 @@ class TestQueueContract:
         job = reloaded.submit("app", {}, {}, "k")
         assert job.id == "job-000003"
 
+    def test_claims_stay_oldest_first_past_job_999999(self, queue_factory):
+        queue = queue_factory()
+        queue._seq = 999_998
+        ids = [job.id for job in _submit(queue, n=3)]
+        assert ids == ["job-999999", "job-1000000", "job-1000001"]
+        assert [job.id for job in queue.jobs()] == ids
+        assert [queue.claim_next().id for _ in range(3)] == ids
+
     def test_born_done_submission(self, queue_factory):
         queue = queue_factory()
         job = queue.submit("app", {}, {}, "cachedkey", state=DONE)

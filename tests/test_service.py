@@ -581,6 +581,42 @@ class TestStreamingAndDashboard:
                               "repro_service_events_dropped_total")
         assert dropped >= 1
 
+    def test_finished_streams_shrink_to_their_terminal_event(self, tmp_path):
+        from repro.service.daemon import _FINISHED_STREAMS
+
+        usual = ["job.submitted", "job.leased", "job.running",
+                 *["stage.done"] * 5, "stream.snapshot", "stream.snapshot",
+                 "job.done"]
+        daemon = ServiceDaemon(tmp_path / "svc", workers=0)
+        try:
+            for i in range(1, 301):
+                for name in usual:
+                    daemon._publish(f"job-{i:06d}", name)
+            retained = sum(map(len, daemon._events.values()))
+            assert retained <= _FINISHED_STREAMS * len(usual) + 300
+            oldest = daemon._job_events("job-000001", 0)
+            assert [e["event"] for e in oldest] == ["events.dropped",
+                                                    "job.done"]
+            assert oldest[0]["count"] == len(usual) - 1
+            newest = daemon._job_events("job-000300", 0)
+            assert [e["event"] for e in newest] == usual
+        finally:
+            daemon.queue.close()
+            daemon.store.close()
+
+    def test_tail_of_an_evicted_job_exits_with_its_fate(
+            self, service, capsys, monkeypatch):
+        client, _ = service
+        monkeypatch.setattr("repro.service.daemon._FINISHED_STREAMS", 1)
+        evicted = client.wait(client.submit(APP, PARAMS)["job"]["id"])
+        client.wait(client.submit(APP, {"iterations": 3})["job"]["id"])
+        names = [e["event"] for e in client.events(evicted["id"])["events"]]
+        assert names == ["events.dropped", "job.done"]
+        assert main(["tail", evicted["id"], "--url", client.base_url]) == 0
+        captured = capsys.readouterr()
+        assert "events dropped" in captured.err
+        assert "job.done" in captured.out
+
     def test_tail_cli_json_emits_ndjson(self, service, capsys):
         client, _ = service
         job = client.submit(APP, PARAMS, force=True)["job"]
@@ -924,6 +960,44 @@ class TestInProcessNode:
             assert record["worker"] == daemon.node.worker_id
             assert record["lease_expires"] > time.time()
             assert client.wait(job["id"], timeout=60)["state"] == DONE
+
+    def test_restarted_daemon_requeues_its_node_jobs_at_once(
+            self, tmp_path):
+        config = config_to_json(DiogenesConfig())
+        daemon = ServiceDaemon(tmp_path / "svc", workers=1)
+        node_id = daemon.node.worker_id
+        own = daemon.queue.submit(APP, PARAMS, config, "key-own")
+        remote = daemon.queue.submit(APP, PARAMS, config, "key-remote")
+        assert daemon.fleet.pull(node_id).id == own.id
+        assert daemon.fleet.pull("remote-w").id == remote.id
+        daemon.queue.close()  # the daemon dies mid-job
+        daemon.store.close()
+        restarted = ServiceDaemon(tmp_path / "svc", workers=1)
+        try:
+            assert restarted.node.worker_id == node_id
+            record = restarted.queue.get(own.id)
+            assert record.state == SUBMITTED and record.attempts == 1
+            # A remote worker may still be running its job.
+            assert restarted.queue.get(remote.id).state == RUNNING
+        finally:
+            restarted.queue.close()
+            restarted.store.close()
+
+    def test_restart_with_no_slots_still_requeues_the_node_jobs(
+            self, tmp_path):
+        daemon = ServiceDaemon(tmp_path / "svc", workers=1)
+        job = daemon.queue.submit(APP, PARAMS,
+                                  config_to_json(DiogenesConfig()), "key")
+        assert daemon.fleet.pull(daemon.node.worker_id).id == job.id
+        daemon.queue.close()  # the daemon dies mid-job
+        daemon.store.close()
+        coordinator = ServiceDaemon(tmp_path / "svc", workers=0)
+        try:
+            record = coordinator.queue.get(job.id)
+            assert record.state == SUBMITTED and record.attempts == 1
+        finally:
+            coordinator.queue.close()
+            coordinator.store.close()
 
     def test_health_answers_while_a_claim_is_held_up(self, tmp_path,
                                                       monkeypatch):
