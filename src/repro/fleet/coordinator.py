@@ -153,7 +153,7 @@ class FleetCoordinator:
         with self._lock:
             inflight = {job.report_key
                         for job in self.queue.jobs_in_state(RUNNING)}
-            for job in self.queue.jobs_in_state(SUBMITTED):
+            for job in self.queue.waiting():
                 if not job.force and self.store.contains(job.report_key):
                     # Another execution pushed this report since submit
                     # time: resolve without running anything, observably.
@@ -269,9 +269,8 @@ class FleetCoordinator:
 
     def _resolve_duplicates(self, key: str) -> None:
         """Mark queued submissions of an already-stored key done."""
-        for other in self.queue.jobs_in_state(SUBMITTED):
-            if other.report_key == key:
-                self._resolve_from_store(other)
+        for other in self.queue.waiting(key):
+            self._resolve_from_store(other)
 
     def _resolve_from_store(self, job: Job, snapshot: dict | None = None,
                             worker_id: str | None = None) -> None:
@@ -323,12 +322,14 @@ class FleetCoordinator:
             raise KeyError(f"no such job: {job_id}")
         with self._lock:
             info.jobs_failed += 1
-        if job.state != RUNNING or job.worker != worker_id:
+        retry = job.attempts < self.retry_limit
+        # A requeue that finds the lease gone (expired and claimed
+        # again since ``get``) is as stale as one seen gone here.
+        if job.state != RUNNING or job.worker != worker_id or (
+                retry and not self.queue.requeue(job, error)):
             obs.count("service.fleet_stale_completions")
             return {"job": job.to_json(), "stale": True}
-        if job.attempts < self.retry_limit:
-            job.error = error  # visible while it waits for redelivery
-            self.queue.requeue(job)
+        if retry:
             self._publish(job.id, "job.requeued", worker=worker_id,
                           error=error, attempts=job.attempts)
         else:

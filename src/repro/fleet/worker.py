@@ -191,6 +191,8 @@ class WorkerNode:
                 executed += 1
         finally:
             self.executor.shutdown()
+            if isinstance(self.client, ServiceClient):
+                self.client.close()  # built from a URL: ours to close
             self._on_event("worker.stopped", worker=self.worker_id,
                            executed=executed)
         return executed
@@ -318,4 +320,6 @@ class WorkerNode:
                 self._on_event("worker.heartbeat_lost", job=job_id,
                                error=str(exc))
                 if exc.status == 409:
-                    return  # lease gone for good; stop renewing
+                    break  # lease gone for good; stop renewing
+        if isinstance(self.client, ServiceClient):
+            self.client.close()  # this thread's pooled connection

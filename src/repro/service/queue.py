@@ -22,9 +22,11 @@ Re-running is always safe — stage execution is deterministic, and a
 run that dies half-way stored nothing: its report lands in the
 content-addressed store only when the run completes.
 
-The job set lives in memory; ``<dir>/queue.db`` (WAL mode, one row
-per job) is its durable mirror, read back at startup.  Every
-transition is persisted, in one transaction, before it is acted on.
+``<dir>/queue.db`` is the job table (WAL mode, one row per job): the
+queue holds no copy of it in memory beyond its per-state counts, so a
+long-lived daemon's memory does not grow with its job history.  Every
+read is an indexed query, and every transition re-reads the job's row
+and commits the change, in one transaction, before it is acted on.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import pathlib
 import sqlite3
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 SUBMITTED = "submitted"
@@ -45,12 +48,8 @@ FAILED = "failed"
 #: Every state a job can be in, in lifecycle order.
 STATES = (SUBMITTED, RUNNING, DONE, FAILED)
 
-
-def _oldest_first(job_ids) -> list[str]:
-    """Job ids in submission order.  Ids are ``job-`` and a sequence
-    number padded to six digits, so past ``job-999999`` a longer id is
-    a later one."""
-    return sorted(job_ids, key=lambda job_id: (len(job_id), job_id))
+#: Rows a job-table read fetches per query.
+_PAGE = 16
 
 
 @dataclass
@@ -81,13 +80,11 @@ class Job:
     force: bool = False
 
     def to_json(self) -> dict:
-        # Hand-rolled rather than ``dataclasses.asdict``: this runs on
-        # every submit/claim/persist and asdict's deepcopy machinery
-        # dominated the submit hot path under load.
-        data = dict(self.__dict__)
-        data["params"] = dict(self.params)
-        data["config"] = dict(self.config)
-        return data
+        # Not ``dataclasses.asdict``: this runs on every submit/claim/
+        # persist and asdict's deepcopy machinery dominated the submit
+        # hot path under load.  A shallow copy shares nothing with the
+        # queue: every Job is a snapshot of its row.
+        return dict(self.__dict__)
 
     @classmethod
     def from_json(cls, data: dict) -> "Job":
@@ -98,8 +95,8 @@ def connect(directory: str | os.PathLike,
             filename: str) -> sqlite3.Connection:
     """Open ``directory/filename`` the way the service's databases run.
 
-    WAL mode, so writers never block readers: the event loop answers
-    ``/jobs`` while a slot thread persists a transition.  With
+    WAL mode, so a writer never blocks a reader on another connection
+    (a second process inspecting the file, say).  With
     ``synchronous=NORMAL`` an OS crash may lose the *last* transactions
     but never corrupts the file; a lost transition re-runs its job,
     which is the crash model the service assumes everywhere (execution
@@ -115,12 +112,60 @@ def connect(directory: str | os.PathLike,
     return conn
 
 
+def _seq_of(job_id) -> int | None:
+    """The row of ``job-{seq:06d}``; ``None`` for any other id
+    (``job-1`` is not ``job-000001``) and past sqlite's integers."""
+    digits = job_id[4:] if isinstance(job_id, str) else ""
+    seq = int(digits) if digits.isdecimal() and len(digits) < 20 else 0
+    return seq if 0 < seq < 2 ** 63 and job_id == f"job-{seq:06d}" else None
+
+
+def _decode(data: str) -> Job | None:
+    try:
+        return Job.from_json(json.loads(data))
+    except (ValueError, TypeError):
+        return None  # unreadable record: skip, never crash the daemon
+
+
+def _migrate(conn: sqlite3.Connection) -> None:
+    """Bring ``queue.db`` to ``user_version`` 1, in one transaction.
+
+    Version 1 is ``jobs(seq, state, data)`` with an index on
+    ``(state, seq)``, so claim order is ``ORDER BY seq`` and a state's
+    jobs are one index range.  Version 0 is a new file, or the earlier
+    ``jobs(id, data)``: its rows move over keeping their ids, states,
+    attempts and leases (a queued job lost here would never run); a
+    row that does not decode is dropped, as reading it always skipped.
+    """
+    with conn:
+        conn.execute("BEGIN IMMEDIATE")
+        if conn.execute("PRAGMA user_version").fetchone()[0]:
+            return
+        # A new file takes the same path, through an empty old table.
+        conn.execute("CREATE TABLE IF NOT EXISTS jobs ("
+                     "id TEXT PRIMARY KEY, data TEXT NOT NULL)")
+        conn.execute("ALTER TABLE jobs RENAME TO jobs_v0")
+        conn.execute("CREATE TABLE jobs (seq INTEGER PRIMARY KEY, "
+                     "state TEXT NOT NULL, data TEXT NOT NULL)")
+        conn.execute("CREATE INDEX jobs_by_state ON jobs (state, seq)")
+        for job_id, data in conn.execute("SELECT id, data FROM jobs_v0"):
+            job, seq = _decode(data), _seq_of(job_id)
+            if seq and job is not None and job.id == job_id \
+                    and job.state in STATES:
+                conn.execute("INSERT INTO jobs VALUES (?, ?, ?)",
+                             (seq, job.state, data))
+        conn.execute("DROP TABLE jobs_v0")
+        conn.execute("PRAGMA user_version = 1")
+
+
 class JobQueue:
     """The daemon's job queue over one directory (``queue.db`` inside).
 
-    Claim ordering, leases, per-state counts and crash recovery run on
-    the in-memory job dict under one lock; :meth:`_persist` mirrors
-    each transition into sqlite before the call returns.
+    Its memory is the connection, one re-entrant lock that serializes
+    every call on it, and the per-state counts (seeded by one ``GROUP
+    BY`` at open, then kept by each transition).  Every :class:`Job` it
+    hands out is a snapshot of its row; a method that takes a ``Job``
+    updates it in place from the row it commits.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -135,71 +180,57 @@ class JobQueue:
                 "them to completion with the previous release or use a "
                 "fresh data directory")
         self._conn = connect(directory, "queue.db")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS jobs ("
-            "  id TEXT PRIMARY KEY,"
-            "  data TEXT NOT NULL)")
-        self._conn.commit()
-        self._lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self._seq = 0
+        _migrate(self._conn)
+        self._lock = threading.RLock()
         self._counts = dict.fromkeys(STATES, 0)
-        # Incremental indexes so the hot paths never scan the full
-        # job table: ids waiting to be claimed, and ids running (the
-        # leases among them).  Submit, pull and lease-sweep rates under
-        # load are bounded by these, not by the job history.
-        self._pending: set[str] = set()
-        self._running: set[str] = set()
-        for (data,) in self._conn.execute("SELECT data FROM jobs"):
-            try:
-                job = Job.from_json(json.loads(data))
-            except (ValueError, TypeError):
-                continue  # unreadable record: skip, never crash the daemon
-            self._jobs[job.id] = job
-            self._counts[job.state] = self._counts.get(job.state, 0) + 1
-            self._index(job)
-            try:
-                self._seq = max(self._seq, int(job.id.split("-")[1]))
-            except (IndexError, ValueError):
-                pass
+        self._counts.update(self._conn.execute(
+            "SELECT state, COUNT(*) FROM jobs GROUP BY state"))
         self.recover()
 
     def close(self) -> None:
         self._conn.close()
 
-    def _persist(self, job: Job) -> None:
-        """Durably write one job's current state."""
-        job.updated = time.time()
-        self._conn.execute("INSERT OR REPLACE INTO jobs VALUES (?, ?)",
-                           (job.id, json.dumps(job.to_json())))
-        self._conn.commit()
+    def _select(self, where: str = "", *args) -> Iterator[Job]:
+        """Jobs matching ``where`` (``AND`` clauses bound to ``args``),
+        oldest first.
 
-    def _transition(self, job: Job, state: str) -> None:
-        """Move a job between states, keeping counts incremental.
-
-        Counts are maintained here rather than recomputed on demand so
-        ``counts()`` — called on every ``/submit`` for gauges and
-        backpressure — stays O(states) however deep the queue gets.
+        Rows are fetched ``_PAGE`` at a time and decoded as they are
+        reached, so a caller that stops early (a pull stops at the first
+        job it can claim) pays for the rows up to there, not for the
+        table.  A row that does not decode could never be read, run or
+        finished: it is deleted, and leaves the counts, when met.
         """
-        self._counts[job.state] -= 1
-        job.state = state
-        self._counts[state] = self._counts.get(state, 0) + 1
-        self._index(job)
+        after = 0
+        while True:
+            with self._lock:
+                rows = self._conn.execute(
+                    f"SELECT seq, state, data FROM jobs WHERE seq > ? {where}"
+                    " ORDER BY seq LIMIT ?", (after, *args, _PAGE)).fetchall()
+            for after, state, data in rows:
+                if (job := _decode(data)) is not None:
+                    yield job
+                    continue
+                with self._lock, self._conn:
+                    self._counts[state] -= self._conn.execute(
+                        "DELETE FROM jobs WHERE seq = ?", (after,)).rowcount
+            if len(rows) < _PAGE:
+                return
 
-    def _index(self, job: Job) -> None:
-        """Keep the pending/running indexes in step with a job's state."""
-        self._pending.discard(job.id)
-        self._running.discard(job.id)
-        if job.state == SUBMITTED:
-            self._pending.add(job.id)
-        elif job.state == RUNNING:
-            self._running.add(job.id)
+    def _row(self, job_id: str) -> Job | None:
+        seq = _seq_of(job_id)
+        return next(self._select("AND seq = ?", seq), None) if seq else None
 
-    def _leases_locked(self) -> list[Job]:
-        """Running jobs held under a lease (worker id and deadline)."""
-        return [job for job in map(self._jobs.get,
-                                   _oldest_first(self._running))
-                if job.worker is not None and job.lease_expires is not None]
+    def _write(self, job: Job, was: str | None = None) -> None:
+        """Commit a job's record and move it in the counts from state
+        ``was`` (``None``: a new job).  Lock held."""
+        job.updated = time.time()
+        with self._conn:
+            self._conn.execute("REPLACE INTO jobs VALUES (?, ?, ?)",
+                               (_seq_of(job.id), job.state,
+                                json.dumps(job.to_json())))
+        if was is not None:
+            self._counts[was] -= 1
+        self._counts[job.state] += 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -213,22 +244,22 @@ class JobQueue:
         executing it) and is requeued only once its lease has expired.
         """
         now = time.time()
-        requeued = []
+        return self._requeue_running(
+            lambda job: job.worker is None
+            or (job.lease_expires or 0) <= now)
+
+    def _requeue_running(self, due) -> list[Job]:
+        """Requeue every running job ``due(job)`` picks; returns them."""
         with self._lock:
-            for job_id in _oldest_first(self._running):
-                job = self._jobs[job_id]
-                if job.worker is not None and (
-                        job.lease_expires or 0) > now:
-                    continue  # live lease: leave it running
+            jobs = [job for job in self._select("AND state = ?", RUNNING)
+                    if due(job)]
+            for job in jobs:
                 self._requeue_locked(job)
-                requeued.append(job)
-        return requeued
+        return jobs
 
     def _requeue_locked(self, job: Job) -> None:
-        self._transition(job, SUBMITTED)
-        job.worker = None
-        job.lease_expires = None
-        self._persist(job)
+        job.state, job.worker, job.lease_expires = SUBMITTED, None, None
+        self._write(job, RUNNING)
 
     def submit(self, workload: str, params: dict, config: dict,
                report_key: str, *, state: str = SUBMITTED,
@@ -236,15 +267,13 @@ class JobQueue:
         """Enqueue one submission (or record it directly ``done`` when
         the report store already holds its result)."""
         with self._lock:
-            self._seq += 1
-            job = Job(id=f"job-{self._seq:06d}", workload=workload,
+            (last,) = self._conn.execute(
+                "SELECT MAX(seq) FROM jobs").fetchone()
+            job = Job(id=f"job-{(last or 0) + 1:06d}", workload=workload,
                       params=dict(params), config=dict(config),
                       report_key=report_key, state=state, error=error,
                       force=force)
-            self._jobs[job.id] = job
-            self._counts[state] = self._counts.get(state, 0) + 1
-            self._index(job)
-            self._persist(job)
+            self._write(job)
             return job
 
     def claim_next(self, *, worker: str | None = None,
@@ -254,11 +283,11 @@ class JobQueue:
         ``worker``/``lease_seconds`` stamp a lease on the claim; the
         default (both ``None``) is an unleased claim.
         """
-        with self._lock:
-            for job_id in _oldest_first(self._pending):
-                job = self._jobs[job_id]
-                self._claim_locked(job, worker, lease_seconds)
-                return job
+        for job in self.waiting():
+            claimed = self.claim_job(job.id, worker=worker,
+                                     lease_seconds=lease_seconds)
+            if claimed is not None:
+                return claimed
         return None
 
     def claim_job(self, job_id: str, *, worker: str | None = None,
@@ -266,116 +295,109 @@ class JobQueue:
         """Claim one *specific* submitted job, or ``None`` if it is no
         longer claimable (raced by another puller)."""
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._row(job_id)
             if job is None or job.state != SUBMITTED:
                 return None
-            self._claim_locked(job, worker, lease_seconds)
+            job.state, job.worker, job.claimed = RUNNING, worker, time.time()
+            job.attempts += 1
+            job.lease_expires = (job.claimed + lease_seconds
+                                 if lease_seconds is not None else None)
+            self._write(job, SUBMITTED)
             return job
-
-    def _claim_locked(self, job: Job, worker: str | None,
-                      lease_seconds: float | None) -> None:
-        self._transition(job, RUNNING)
-        job.attempts += 1
-        job.claimed = time.time()
-        job.worker = worker
-        job.lease_expires = (time.time() + lease_seconds
-                             if lease_seconds is not None else None)
-        self._persist(job)
 
     def heartbeat(self, job_id: str, worker: str,
                   lease_seconds: float) -> Job | None:
         """Extend a leased claim; ``None`` when the lease is
         lost (job requeued, finished, or claimed by someone else)."""
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._row(job_id)
             if job is None or job.state != RUNNING or job.worker != worker:
                 return None
             job.lease_expires = time.time() + lease_seconds
-            self._persist(job)
+            self._write(job, RUNNING)
             return job
 
     def expire_leases(self, now: float | None = None) -> list[Job]:
         """Return every expired-lease job to ``submitted`` for
         redelivery; returns the requeued jobs."""
         now = time.time() if now is None else now
-        expired = []
-        with self._lock:
-            for job in self._leases_locked():
-                if job.lease_expires <= now:
-                    self._requeue_locked(job)
-                    expired.append(job)
-        return expired
+        return self._requeue_running(
+            lambda job: job.worker is not None
+            and job.lease_expires is not None and job.lease_expires <= now)
 
-    def requeue(self, job: Job) -> None:
-        """Explicitly return one running job to ``submitted``
-        (fleet retry path), preserving its attempt count."""
+    def requeue(self, job: Job, error: str | None = None) -> bool:
+        """Explicitly return one running job to ``submitted`` (fleet
+        retry path), preserving its attempt count, if it still runs
+        under ``job.worker``; returns whether it did.  ``error``, if
+        given, stays visible while the job waits for redelivery."""
         with self._lock:
-            if job.state == RUNNING:
-                self._requeue_locked(job)
+            fresh = self._row(job.id)
+            acted = fresh is not None and fresh.state == RUNNING \
+                and fresh.worker == job.worker
+            if acted:
+                fresh.error = error or fresh.error
+                self._requeue_locked(fresh)
+        if fresh is not None:
+            vars(job).update(vars(fresh))
+        return acted
 
     def mark_done(self, job: Job, report_key: str | None = None) -> None:
-        with self._lock:
-            if report_key is not None:
-                job.report_key = report_key
-            self._transition(job, DONE)
-            job.error = None
-            job.lease_expires = None
-            self._persist(job)
+        self._finish(job, DONE, None, report_key)
 
     def mark_failed(self, job: Job, error: str) -> None:
+        self._finish(job, FAILED, error)
+
+    def _finish(self, job: Job, state: str, error: str | None,
+                report_key: str | None = None) -> None:
         with self._lock:
-            self._transition(job, FAILED)
-            job.error = error
-            job.lease_expires = None
-            self._persist(job)
+            fresh = self._row(job.id)
+            if fresh is None:
+                raise KeyError(f"no such job: {job.id}")
+            was = fresh.state
+            fresh.state, fresh.error, fresh.lease_expires = state, error, None
+            fresh.report_key = report_key or fresh.report_key
+            self._write(fresh, was)
+        vars(job).update(vars(fresh))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job | None:
+        """The job with this id; ``None`` for any other string."""
         with self._lock:
-            return self._jobs.get(job_id)
+            return self._row(job_id)
 
     def jobs(self) -> list[Job]:
         """Every job, oldest first."""
-        with self._lock:
-            return [self._jobs[job_id]
-                    for job_id in _oldest_first(self._jobs)]
+        return list(self._select())
 
     def jobs_in_state(self, state: str) -> list[Job]:
-        """Jobs currently in ``state``, oldest first.
+        """Jobs currently in ``state``, oldest first."""
+        return list(self._select("AND state = ?", state))
 
-        Submitted and running jobs come from their indexes; only the
-        terminal states scan the job history.
-        """
-        with self._lock:
-            index = {SUBMITTED: self._pending,
-                     RUNNING: self._running}.get(state)
-            if index is not None:
-                return [self._jobs[job_id]
-                        for job_id in _oldest_first(index)]
-            return [self._jobs[job_id] for job_id in _oldest_first(self._jobs)
-                    if self._jobs[job_id].state == state]
+    def waiting(self, report_key: str | None = None) -> Iterator[Job]:
+        """Submitted jobs (of ``report_key``, if given), oldest first,
+        read as they are reached: a pull pays for the jobs ahead of the
+        one it claims, not for the queue's depth.  ``instr`` passes over
+        a row that does not name ``report_key`` without decoding it."""
+        jobs = self._select("AND state = ? AND instr(data, ?)",
+                            SUBMITTED, report_key or "")
+        return (job for job in jobs if report_key in (None, job.report_key))
 
     def active_leases(self, now: float | None = None) -> int:
         """Running jobs held under a live lease."""
         now = time.time() if now is None else now
-        with self._lock:
-            return sum(1 for job in self._leases_locked()
-                       if job.lease_expires > now)
+        return sum(job.worker is not None and (job.lease_expires or 0) > now
+                   for job in self.jobs_in_state(RUNNING))
 
     def counts(self) -> dict[str, int]:
         """``{state: job count}`` for all four states (zeros included)."""
         with self._lock:
-            return {state: self._counts.get(state, 0) for state in STATES}
+            return {state: self._counts[state] for state in STATES}
 
     def depth(self) -> int:
         """Jobs waiting to run."""
         return self.counts()[SUBMITTED]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._jobs)
 
 
 #: The name the traced benchmark (``benchmarks/e2e/launch.py``) times

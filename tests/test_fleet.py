@@ -18,6 +18,7 @@ The contracts that keep the fleet honest:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
@@ -28,11 +29,13 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
 
 import repro.obs as obs
+import repro.service.queue as queue_module
 from repro.apps.base import registry
 from repro.core.cli import _load_workloads, build_parser
 from repro.core.diogenes import Diogenes, DiogenesConfig
@@ -58,6 +61,9 @@ _load_workloads()
 
 APP = "synthetic-unnecessary-sync"
 PARAMS = {"iterations": 4}
+
+#: Ids no job can have: a 404/KeyError, never an exception of the parse.
+MALFORMED_JOB_IDS = ("job-abc", "job-1", "job-", "job-" + "9" * 25)
 APP_B = "synthetic-misplaced-sync"
 PARAMS_B = {"iterations": 3}
 
@@ -108,6 +114,7 @@ def running_daemon(data_dir, **kwargs):
             client.shutdown()
         except ServiceError:
             pass
+        client.close()
         thread.join(15)
         assert not thread.is_alive(), "daemon did not shut down cleanly"
 
@@ -247,6 +254,22 @@ class TestFleetEndToEnd:
             fetched = client.report(final["report_key"])
             assert json.dumps(fetched, indent=2) == serial
             assert node.jobs_completed == 1
+
+    def test_stopped_worker_leaves_no_socket_open(self, tmp_path):
+        with running_daemon(tmp_path / "svc", workers=0) as (client, _):
+            job = client.submit(APP, PARAMS)["job"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                node = WorkerNode(client.base_url, worker_id="w1",
+                                  poll_interval=0.05)
+                assert node.run(max_jobs=1) == 1
+                del node
+                gc.collect()
+            assert client.job(job["id"])["state"] == DONE
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and "socket" in str(w.message)]
+        assert unclosed == []
 
     def test_trace_is_one_tree_rooted_at_service_job(self, tmp_path):
         with running_daemon(tmp_path / "svc", workers=0) as (client, _):
@@ -727,28 +750,64 @@ class TestCoordinatorUnits:
         running = queue.submit(APP, {}, {}, "key-running")
         queue.claim_job(running.id, worker="w0", lease_seconds=60.0)
         waiting = queue.submit(APP, {}, {}, "key-waiting")
-        touched = []
-
-        class History(dict):
-            """The job table, recording lookups and refusing scans."""
-
-            def __getitem__(self, job_id):
-                touched.append(job_id)
-                return super().__getitem__(job_id)
-
-            def get(self, job_id, default=None):
-                touched.append(job_id)
-                return super().get(job_id, default)
-
-            def _scan(self, *args):
-                raise AssertionError("pull scanned the job history")
-
-            __iter__ = keys = values = items = _scan
-
-        queue._jobs = History(queue._jobs)
+        statements = []
+        queue._conn.set_trace_callback(statements.append)
         fleet.register("w1")
         assert fleet.pull("w1").id == waiting.id
-        assert set(touched) <= {running.id, waiting.id}
+        queue._conn.set_trace_callback(None)
+        # Each statement pull ran on the job table is an index search:
+        # none reads the job history.
+        plans = [detail for sql in statements for *_, detail
+                 in queue._conn.execute(f"EXPLAIN QUERY PLAN {sql}")]
+        assert any(detail.startswith("SEARCH jobs") for detail in plans)
+        assert not [detail for detail in plans
+                    if detail.startswith("SCAN")], plans
+
+    def test_pull_and_completion_decode_only_the_rows_they_use(
+            self, tmp_path, monkeypatch):
+        queue, _, fleet = self._fixture(tmp_path)
+        job, identity = self._submit_real(queue)
+        for i in range(300):
+            queue.submit(APP, {"i": i}, {}, f"key-{i}")
+        decoded = []
+        real_decode = queue_module._decode
+
+        def counting_decode(data):
+            decoded.append(data)
+            return real_decode(data)
+
+        monkeypatch.setattr(queue_module, "_decode", counting_decode)
+        fleet.register("w1")
+        assert fleet.pull("w1").id == job.id
+        fleet.complete("w1", job.id, dict(identity), {"schema_version": 1},
+                       None)
+        # Neither the pull nor the completion's duplicate search reads
+        # the 300 jobs queued behind: the cost does not grow with depth.
+        assert len(decoded) < 10, len(decoded)
+        assert queue.get(job.id).state == DONE
+
+    def test_fail_after_the_lease_moved_on_is_stale(
+            self, tmp_path, monkeypatch):
+        events = []
+        queue, _, fleet = self._fixture(
+            tmp_path, lease_seconds=0.01,
+            publish=lambda job_id, name, **fields: events.append(name))
+        job, _ = self._submit_real(queue)
+        fleet.register("w1")
+        held = fleet.pull("w1")
+        time.sleep(0.03)
+        fleet.expire()
+        fleet.pull("w2")
+        # w1's failure report read its job just before the lease moved.
+        monkeypatch.setattr(queue, "get", lambda job_id: held)
+        del events[:]
+        reply = fleet.fail("w1", job.id, "boom")
+        assert reply["stale"] is True
+        assert reply["job"]["worker"] == "w2"
+        assert events == []
+        record = queue.jobs()[0]
+        assert (record.state, record.worker, record.error) == \
+            (RUNNING, "w2", None)
 
     def test_idle_worker_claims_every_job_oldest_first(self, tmp_path):
         queue, _, fleet = self._fixture(tmp_path)
@@ -829,12 +888,14 @@ class TestCoordinatorUnits:
         assert fleet.live_workers() == {"w1"}
 
     def test_unknown_job_raises_key_error(self, tmp_path):
-        _, _, fleet = self._fixture(tmp_path)
+        queue, _, fleet = self._fixture(tmp_path)
+        queue.submit(APP, {}, {}, "key")  # job-1 must not alias job-000001
         fleet.register("w1")
-        with pytest.raises(KeyError):
-            fleet.complete("w1", "job-404404", {}, {}, None)
-        with pytest.raises(KeyError):
-            fleet.fail("w1", "job-404404", "boom")
+        for job_id in ("job-404404", *MALFORMED_JOB_IDS):
+            with pytest.raises(KeyError):
+                fleet.complete("w1", job_id, {}, {}, None)
+            with pytest.raises(KeyError):
+                fleet.fail("w1", job_id, "boom")
 
     def test_register_reply_lists_the_registry(self, tmp_path):
         _, _, fleet = self._fixture(tmp_path)

@@ -13,12 +13,22 @@ actually rely on:
 
 from __future__ import annotations
 
+import json
+import sqlite3
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
-from repro.service.queue import DONE, FAILED, RUNNING, SUBMITTED, JobQueue
+from repro.service.queue import (
+    DONE,
+    FAILED,
+    RUNNING,
+    SUBMITTED,
+    Job,
+    JobQueue,
+)
 
 
 @pytest.fixture
@@ -177,13 +187,67 @@ class TestQueueContract:
         job = reloaded.submit("app", {}, {}, "k")
         assert job.id == "job-000003"
 
-    def test_claims_stay_oldest_first_past_job_999999(self, queue_factory):
+    def test_claims_stay_oldest_first_past_job_999999(self, queue_factory,
+                                                       tmp_path):
+        queue_factory().close()
+        last = Job(id="job-999998", workload="app", params={}, config={},
+                   report_key="k", state=DONE)
+        with closing(sqlite3.connect(tmp_path / "queue" / "queue.db")) \
+                as conn, conn:
+            conn.execute("INSERT INTO jobs VALUES (999998, 'done', ?)",
+                         (json.dumps(last.to_json()),))
         queue = queue_factory()
-        queue._seq = 999_998
         ids = [job.id for job in _submit(queue, n=3)]
         assert ids == ["job-999999", "job-1000000", "job-1000001"]
-        assert [job.id for job in queue.jobs()] == ids
+        assert [job.id for job in queue.jobs()] == [last.id, *ids]
         assert [queue.claim_next().id for _ in range(3)] == ids
+
+    def test_queue_db_of_the_id_layout_migrates_in_place(self, tmp_path):
+        now = time.time()
+
+        def job(seq, state, **fields):
+            return Job(id=f"job-{seq:06d}", workload="app",
+                       params={"i": seq}, config={}, report_key=f"key{seq}",
+                       state=state, **fields)
+
+        # Rows of the layout before user_version 1, not in id order.
+        records = [
+            job(1, DONE, attempts=1, claimed=now),
+            job(2, RUNNING, attempts=2, claimed=now, worker="w1",
+                lease_expires=now + 60.0),
+            job(999_999, SUBMITTED),
+            job(1_000_000, SUBMITTED, attempts=1, error="KeyError: boom"),
+            job(3, SUBMITTED),
+        ]
+        (tmp_path / "queue").mkdir()
+        with closing(sqlite3.connect(tmp_path / "queue" / "queue.db")) \
+                as conn, conn:
+            conn.execute("CREATE TABLE jobs ("
+                         "  id TEXT PRIMARY KEY, data TEXT NOT NULL)")
+            conn.executemany(
+                "INSERT INTO jobs VALUES (?, ?)",
+                [(record.id, json.dumps(record.to_json()))
+                 for record in records] + [("job-000004", "{truncated")])
+        queue = JobQueue(tmp_path / "queue")
+        try:
+            assert queue.counts() == {SUBMITTED: 3, RUNNING: 1,
+                                      DONE: 1, FAILED: 0}
+            ordered = sorted(records, key=lambda record: int(record.id[4:]))
+            assert [kept.to_json() for kept in queue.jobs()] == \
+                [record.to_json() for record in ordered]
+            held = queue.get("job-000002")
+            assert held.state == RUNNING and held.worker == "w1"
+            assert held.lease_expires == now + 60.0 and held.attempts == 2
+            claims = [queue.claim_next() for _ in range(3)]
+            assert [claimed.id for claimed in claims] == \
+                ["job-000003", "job-999999", "job-1000000"]
+            assert claims[-1].attempts == 2
+            assert queue.submit("app", {}, {}, "k").id == "job-1000001"
+        finally:
+            queue.close()
+        with closing(sqlite3.connect(tmp_path / "queue" / "queue.db")) \
+                as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (1,)
 
     def test_born_done_submission(self, queue_factory):
         queue = queue_factory()

@@ -15,6 +15,7 @@ The contracts that keep the daemon honest:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
@@ -40,6 +41,7 @@ from repro.service import (
     FAILED,
     RUNNING,
     SUBMITTED,
+    Job,
     JobQueue,
     ReportStore,
     ServiceClient,
@@ -52,6 +54,9 @@ _load_workloads()
 
 APP = "synthetic-unnecessary-sync"
 PARAMS = {"iterations": 4}
+
+#: Ids no job can have: a 404, never an exception of the parse.
+MALFORMED_JOB_IDS = ("job-abc", "job-1", "job-", "job-" + "9" * 25)
 
 #: Three small independent workloads for the concurrency test.
 CONCURRENT_APPS = [
@@ -115,6 +120,7 @@ def running_daemon(data_dir, **kwargs):
             client.shutdown()
         except ServiceError:
             pass  # already stopped by the test
+        client.close()
         thread.join(15)
         assert not thread.is_alive(), "daemon did not shut down cleanly"
 
@@ -184,10 +190,14 @@ class TestJobQueue:
         queue = JobQueue(tmp_path)
         self._submit(queue)
         with sqlite3.connect(tmp_path / "queue.db") as conn:
-            conn.execute("INSERT INTO jobs VALUES ('job-999999', "
+            conn.execute("INSERT INTO jobs VALUES (999999, 'submitted', "
                          "'{truncated')")
         reloaded = JobQueue(tmp_path)
-        assert len(reloaded) == 1
+        assert len(reloaded.jobs()) == 1
+        # The read that skipped the row deleted it: no phantom job is
+        # left counting against --max-queue, now or after a reopen.
+        assert reloaded.counts()[SUBMITTED] == 1
+        assert JobQueue(tmp_path).depth() == 1
 
     def test_depth_counts_only_waiting_jobs(self, tmp_path):
         queue = JobQueue(tmp_path)
@@ -434,6 +444,10 @@ class TestTraceAndEvents:
             client.events("job-424242")
         assert info.value.status == 404
         client.submit(APP, PARAMS)
+        for job_id in MALFORMED_JOB_IDS:  # job-1 is not job-000001
+            with pytest.raises(ServiceError, match="no such job") as info:
+                client.events(job_id)
+            assert info.value.status == 404
         with pytest.raises(ServiceError, match="bad events query") as info:
             client._request("GET", "/events?job=job-000001&after=nope")
         assert info.value.status == 400
@@ -686,6 +700,11 @@ class TestDaemonValidation:
         assert info.value.status == 404
         with pytest.raises(ServiceError, match="no such job"):
             client.job("job-424242")
+        client.submit(APP, PARAMS)  # job-1 must not alias job-000001
+        for job_id in MALFORMED_JOB_IDS:
+            with pytest.raises(ServiceError, match="no such job") as info:
+                client.job(job_id)
+            assert info.value.status == 404
 
     def test_unknown_route_is_404(self, service):
         client, _ = service
@@ -922,6 +941,27 @@ class TestInProcessNode:
                     assert sizes[table] == baseline[table], (first, table)
                 for table, cache in caps.items():
                     assert sizes[table] <= cache.cache_info().maxsize
+
+    def test_job_state_stays_on_disk_over_hundreds_of_jobs(self, tmp_path):
+        # A long-lived daemon's memory must not grow with its job
+        # history: queue.db is the one copy of every job.
+        variants = [{"iterations": n} for n in (2, 3, 4)]
+        with running_daemon(tmp_path / "svc", workers=1) as (client, _):
+            for params in variants:
+                job = client.submit(APP, params)["job"]
+                assert client.wait(job["id"], timeout=60)["state"] == DONE
+            for i in range(300 - len(variants)):
+                assert client.submit(APP, variants[i % 3])["cached"]
+            queue = JobQueue(tmp_path / "queue")
+            try:
+                for i in range(300):
+                    job = queue.submit(APP, {"i": i}, {}, f"key{i}")
+                    queue.mark_done(queue.claim_job(job.id), job.report_key)
+                gc.collect()
+                live = sum(isinstance(obj, Job) for obj in gc.get_objects())
+                assert live <= 10, live
+            finally:
+                queue.close()
 
     def test_slots_outnumbering_cores_lose_no_update(self, tmp_path):
         # Four slots on one node, thread switches forced often: every
