@@ -49,7 +49,7 @@ import repro.obs as obs
 from repro.apps.base import registry
 from repro.core.diogenes import Diogenes, DiogenesConfig
 from repro.core import report as reports
-from repro.core.jsonio import dumps_report, session_meta
+from repro.core.jsonio import dumps_indented, dumps_report, session_meta
 
 
 def _load_workloads() -> None:
@@ -574,8 +574,6 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    import json
-
     client = _client(args)
     result = client.submit(args.workload, parse_params(args.params),
                            force=args.force)
@@ -590,7 +588,7 @@ def _cmd_submit(args) -> int:
     if args.json_path:
         report = client.report(job["report_key"])
         with open(args.json_path, "w") as fp:
-            fp.write(json.dumps(report, indent=2))
+            fp.write(dumps_indented(report))
         print(f"report written to {args.json_path}", file=sys.stderr)
     return 0
 
@@ -629,7 +627,7 @@ def _cmd_fetch(args) -> int:
 
     client = _client(args)
     report = client.report(_resolve_report_key(client, args.key))
-    text = json.dumps(report, indent=2)
+    text = dumps_indented(report)
     if args.out:
         with open(args.out, "w") as fp:
             fp.write(text)

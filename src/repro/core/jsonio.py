@@ -4,11 +4,22 @@ The paper stores collected performance data in JSON "so other tools
 can read it"; this module is that interchange surface.  The export is
 self-contained: stage data, ranked problems, groupings, sequences, and
 overhead accounting, all as plain JSON types.
+
+Every report byte the tool writes (``run --json``, the service's
+report store, ``submit --json`` and ``fetch``) comes from one writer,
+:func:`dumps_indented`: exactly the text of ``json.dumps(obj,
+indent=2)``, the format of the golden reports.  CPython runs ``indent``
+only in its pure-Python encoder, which yields one string per token and
+joins them all at the end, so it holds about six times the output at
+its peak.  The writer appends one string per item instead, and joins
+those in batches of :data:`_BATCH`, so it holds about twice the output
+and takes about half the time.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from repro.core.analysis import ProblemRecord
 from repro.core.diogenes import DiogenesReport
@@ -184,7 +195,141 @@ def load_report_json(path: str) -> dict:
 
 
 def dumps_report(report: DiogenesReport, *, meta: dict | None = None) -> str:
-    return json.dumps(report_to_json(report, meta=meta), indent=2)
+    return dumps_indented(report_to_json(report, meta=meta))
+
+
+#: Pieces :func:`dumps_indented` collects before joining them into one
+#: string.  The pieces are small strings, each several times the size
+#: of its text, so the batch bounds that overhead to a few hundred KB.
+_BATCH = 4096
+
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_str(value: float) -> str:
+    text = _float_repr(value)
+    return _NONFINITE.get(text, text)
+
+
+def _scalar_str(value) -> str | None:
+    """JSON text of a scalar, or ``None`` for anything else.  Subclasses
+    of ``int`` and ``float`` (``IntEnum``, ``numpy.float64``) are
+    written as their base type, and bools before ints, as ``json``
+    does."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_repr(value)
+    if isinstance(value, float):
+        return _float_str(value)
+    return None
+
+
+#: Writers of the exact scalar types that fill a report, looked up
+#: before the general :func:`_scalar_str` to save a call per item.
+_EXACT_SCALARS = {str: _encode_str, float: _float_str, int: _int_repr}
+
+
+def _key_str(key) -> str:
+    """A dict key as JSON text, converted as ``json`` converts it."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_str(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(_int_repr(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def dumps_indented(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with a bounded transient.
+
+    Strings go through the C ``encode_basestring_ascii`` that ``json``
+    uses, numbers through ``int.__repr__`` and ``float.__repr__`` (NaN
+    and the infinities as ``json`` spells them), and lists and tuples
+    are both arrays.  An unsupported value or key type raises the same
+    ``TypeError``.  Unlike ``json.dumps``, it does not look for
+    circular references: one recurses until ``RecursionError``.
+    """
+    text = _scalar_str(obj)
+    if text is not None:
+        return text
+    done: list[str] = []
+    parts: list[str] = []
+    append = parts.append
+    # A report repeats a few dozen keys tens of thousands of times.
+    # Only ``str`` keys are cached: ``1`` and ``True`` are equal keys.
+    key_text: dict[str, str] = {}
+
+    def write(o, indent: str) -> None:
+        # ``o`` is a container; ``indent`` is the newline and indent of
+        # its closing bracket.  Each item is appended as one string:
+        # separator, indent, key and, for a scalar, its value.
+        if isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key, value in o.items():
+                head = key_text.get(key)
+                if head is None:
+                    head = _key_str(key) + ": "
+                    if type(key) is str:
+                        key_text[key] = head
+                exact = _EXACT_SCALARS.get(type(value))
+                text = exact(value) if exact else _scalar_str(value)
+                if text is not None:
+                    append(f"{sep}{head}{text}")
+                else:
+                    append(sep + head)
+                    write(value, inner)
+                sep = comma
+                if len(parts) >= _BATCH:
+                    done.append("".join(parts))
+                    parts.clear()
+            append(indent + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for value in o:
+                exact = _EXACT_SCALARS.get(type(value))
+                text = exact(value) if exact else _scalar_str(value)
+                if text is not None:
+                    append(sep + text)
+                else:
+                    append(sep)
+                    write(value, inner)
+                sep = comma
+                if len(parts) >= _BATCH:
+                    done.append("".join(parts))
+                    parts.clear()
+            append(indent + "]")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+
+    write(obj, "\n")
+    done.append("".join(parts))
+    return "".join(done)
 
 
 def session_meta(session) -> dict:

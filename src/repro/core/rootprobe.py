@@ -97,6 +97,18 @@ class RootTracker:
     def current_root(self) -> RootCall | None:
         return self._root
 
+    def close(self) -> None:
+        """Drop the stage's callbacks once its run has ended.
+
+        The probe's callbacks are this tracker's bound methods, so the
+        two hold each other, and the stage closures in the callback
+        lists hold the run's machine and instrumenters.  Unhooking both
+        lets reference counting free the run when its stage returns.
+        """
+        self.on_root_entry.clear()
+        self.on_root_exit.clear()
+        self.probe.entry = self.probe.exit = None
+
     def _entry(self, record: CallRecord) -> None:
         self._depth += 1
         if self._depth != 1:

@@ -87,15 +87,12 @@ def run_stage1(workload, config, evidence: DiscoveryEvidence | None = None) -> S
         try:
             workload.run(ctx)
         finally:
-            # Telemetry flushes sit in their own ``finally`` so a
-            # raising workload — or a raising detach — still publishes
-            # whatever the run accumulated.
-            try:
-                dispatch.detach(probe)
-            finally:
-                obs.record_probe(probe, stage="stage1_baseline")
-                obs.record_device(ctx.machine.gpu)
-                obs.record_run_overhead("stage1_baseline", ctx.machine)
+            # A raising workload still ends its process (so the run is
+            # freed) and publishes whatever it accumulated.
+            ctx.close()
+            obs.record_probe(probe, stage="stage1_baseline")
+            obs.record_device(ctx.machine.gpu)
+            obs.record_run_overhead("stage1_baseline", ctx.machine)
         if engine == "columnar":
             sync_sites = builder.finish_sites()
             sync_function_names = builder.sync_functions

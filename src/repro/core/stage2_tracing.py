@@ -100,16 +100,14 @@ def run_stage2(workload, stage1: Stage1Data, config) -> Stage2Data:
         try:
             workload.run(ctx)
         finally:
-            # Flushes in their own ``finally``: a raising workload or
-            # detach must not drop the run's accumulated telemetry.
-            try:
-                dispatch.detach(tracker.probe)
-                dispatch.detach(funnel_probe)
-            finally:
-                obs.record_probe(tracker.probe, stage="stage2_tracing")
-                obs.record_probe(funnel_probe, stage="stage2_tracing")
-                obs.record_device(ctx.machine.gpu)
-                obs.record_run_overhead("stage2_tracing", ctx.machine)
+            # A raising workload still ends its process (so the run is
+            # freed) and publishes whatever it accumulated.
+            ctx.close()
+            tracker.close()
+            obs.record_probe(tracker.probe, stage="stage2_tracing")
+            obs.record_probe(funnel_probe, stage="stage2_tracing")
+            obs.record_device(ctx.machine.gpu)
+            obs.record_run_overhead("stage2_tracing", ctx.machine)
         # Counters come from the builder in columnar mode — totalling
         # through ``events`` would materialize the whole row view.
         if engine == "columnar":

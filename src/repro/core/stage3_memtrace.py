@@ -297,19 +297,16 @@ def run_stage3(workload, stage1: Stage1Data, config,
         try:
             workload.run(ctx)
         finally:
-            # Flushes in their own ``finally``: a raising workload,
-            # uninstall, or detach must not drop the run's telemetry.
-            try:
-                if do_memtrace:
-                    loadstore.uninstall()
-                    dispatch.detach(managed_probe)
-                dispatch.detach(tracker.probe)
-            finally:
-                if do_memtrace:
-                    obs.record_probe(managed_probe, stage=stage_name)
-                obs.record_probe(tracker.probe, stage=stage_name)
-                obs.record_device(machine.gpu)
-                obs.record_run_overhead(stage_name, machine)
+            # A raising workload still ends its process (so the run is
+            # freed) and publishes whatever it accumulated.
+            loadstore.uninstall()
+            ctx.close()
+            tracker.close()
+            if do_memtrace:
+                obs.record_probe(managed_probe, stage=stage_name)
+            obs.record_probe(tracker.probe, stage=stage_name)
+            obs.record_device(machine.gpu)
+            obs.record_run_overhead(stage_name, machine)
         if engine == "columnar":
             n_sync_uses = builder.sync_count
             n_hashes = builder.hash_count

@@ -172,18 +172,15 @@ def run_stage4(workload, stage1: Stage1Data, stage3: Stage3Data, config) -> Stag
         try:
             workload.run(ctx)
         finally:
-            # Flushes in their own ``finally``: a raising workload,
-            # uninstall, or detach must not drop the run's telemetry.
-            try:
-                loadstore.uninstall()
-                dispatch.detach(tracker.probe)
-                dispatch.detach(managed_probe)
-                dispatch.detach(funnel_probe)
-            finally:
-                for probe in (tracker.probe, managed_probe, funnel_probe):
-                    obs.record_probe(probe, stage="stage4_syncuse")
-                obs.record_device(ctx.machine.gpu)
-                obs.record_run_overhead("stage4_syncuse", ctx.machine)
+            # A raising workload still ends its process (so the run is
+            # freed) and publishes whatever it accumulated.
+            loadstore.uninstall()
+            ctx.close()
+            tracker.close()
+            for probe in (tracker.probe, managed_probe, funnel_probe):
+                obs.record_probe(probe, stage="stage4_syncuse")
+            obs.record_device(ctx.machine.gpu)
+            obs.record_run_overhead("stage4_syncuse", ctx.machine)
         n_first_uses = len(builder) if engine == "columnar" else len(first_uses)
         obs.record_collection("stage4_syncuse", n_first_uses, engine)
         sp.set(first_uses=n_first_uses,

@@ -302,13 +302,18 @@ class FleetCoordinator:
         return trace_batch.get("trace_id")
 
     def _fail_for_good(self, job: Job, worker_id: str, error: str,
-                       trace_batch: dict | None) -> None:
-        # Trace and terminal event (which triggers the flight dump)
-        # land before the transition makes the failure observable.
-        trace_id = self._store_trace(job, worker_id, trace_batch)
-        self._publish(job.id, "job.failed", worker=worker_id, error=error,
-                      trace_id=trace_id)
-        self.queue.mark_failed(job, error)
+                       trace_batch: dict | None) -> bool:
+        """Fail the job for good if its row still runs under
+        ``worker_id``; returns whether it did."""
+        def announce(job: Job) -> None:
+            # Trace and terminal event (which triggers the flight dump)
+            # land before the transition makes the failure observable.
+            trace_id = self._store_trace(job, worker_id, trace_batch)
+            self._publish(job.id, "job.failed", worker=worker_id,
+                          error=error, trace_id=trace_id)
+
+        return job.worker == worker_id and self.queue.fail_running(
+            job, error, announce)
 
     def fail(self, worker_id: str, job_id: str, error: str,
              trace_batch: dict | None = None) -> dict:
@@ -323,17 +328,19 @@ class FleetCoordinator:
         with self._lock:
             info.jobs_failed += 1
         retry = job.attempts < self.retry_limit
-        # A requeue that finds the lease gone (expired and claimed
-        # again since ``get``) is as stale as one seen gone here.
-        if job.state != RUNNING or job.worker != worker_id or (
-                retry and not self.queue.requeue(job, error)):
+        # Both transitions re-read the row under the queue's lock: a
+        # lease that expired and was claimed again since ``get`` makes
+        # the failure stale, as one seen gone here does.
+        if job.state != RUNNING or job.worker != worker_id or not (
+                self.queue.requeue(job, error) if retry
+                else self._fail_for_good(job, worker_id, error,
+                                         trace_batch)):
             obs.count("service.fleet_stale_completions")
             return {"job": job.to_json(), "stale": True}
         if retry:
             self._publish(job.id, "job.requeued", worker=worker_id,
                           error=error, attempts=job.attempts)
         else:
-            self._fail_for_good(job, worker_id, error, trace_batch)
             obs.count("service.jobs_completed", result="failed")
         return {"job": job.to_json(), "stale": False}
 

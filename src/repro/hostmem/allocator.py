@@ -88,3 +88,14 @@ class HostAddressSpace:
     @property
     def live_buffers(self) -> list["HostBuffer"]:
         return list(self._buffers)
+
+    def close(self) -> None:
+        """Forget every buffer and hook (the process has exited).
+
+        Buffers point at their space and the space at its buffers, and
+        a hook is usually a bound method of an object that holds the
+        space; emptying both tables leaves no cycle through the space.
+        """
+        self._starts.clear()
+        self._buffers.clear()
+        self.hooks.clear()

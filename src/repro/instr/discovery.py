@@ -68,7 +68,7 @@ def _probe_one(trigger_name: str, trigger: Callable[[ExecutionContext], None]) -
         # ``in_flight`` is exactly the dispatched stack at the block.
         blocked = list(in_flight)
     finally:
-        ctx.driver.dispatch.detach(probe)
+        ctx.close()
     if not blocked:
         raise RuntimeError(
             f"probe test for {trigger_name!r} did not block — "

@@ -4,7 +4,19 @@ FFM is a multi-*run* model — each stage executes the application in a
 fresh process.  :class:`ExecutionContext` is the reproduction's
 "process": a brand-new machine, host address space, driver, runtime,
 and stack tracker.  The FFM runner builds one per stage, attaches that
-stage's instrumentation, runs the workload, and discards it.
+stage's instrumentation, runs the workload, and ends the process with
+:meth:`ExecutionContext.close`.
+
+A real process's memory goes back to the OS when it exits; a context's
+goes when its last reference does.  The parts of a context refer to
+each other (each host buffer and its address space, the driver and the
+access hook it registers there), so without :meth:`~ExecutionContext.close`
+a finished run, with its whole device timeline, would wait for a full
+cycle collection, and several finished runs could be alive at once.
+After ``close`` nothing in the context refers back to itself, and the
+run is freed, by reference counting, when the stage that made it
+returns.  The machine is untouched, so its clock and timeline can still
+be read.
 """
 
 from __future__ import annotations
@@ -64,3 +76,9 @@ class ExecutionContext:
     @property
     def elapsed(self) -> float:
         return self.machine.elapsed()
+
+    def close(self) -> None:
+        """End the simulated process: detach every probe, and drop the
+        address space's buffer table and access hooks."""
+        self.driver.dispatch.detach_all()
+        self.hostspace.close()

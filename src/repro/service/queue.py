@@ -37,7 +37,7 @@ import pathlib
 import sqlite3
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 SUBMITTED = "submitted"
@@ -47,6 +47,11 @@ FAILED = "failed"
 
 #: Every state a job can be in, in lifecycle order.
 STATES = (SUBMITTED, RUNNING, DONE, FAILED)
+
+#: The state of a row whose record does not decode: no read returns
+#: it and no count includes it, but it keeps its seq, so its job id is
+#: never handed to a later submission.
+_UNREADABLE = "unreadable"
 
 #: Rows a job-table read fetches per query.
 _PAGE = 16
@@ -135,7 +140,8 @@ def _migrate(conn: sqlite3.Connection) -> None:
     jobs are one index range.  Version 0 is a new file, or the earlier
     ``jobs(id, data)``: its rows move over keeping their ids, states,
     attempts and leases (a queued job lost here would never run); a
-    row that does not decode is dropped, as reading it always skipped.
+    row that does not decode keeps its id as an unreadable row, and
+    one whose id is not ``job-{seq:06d}`` is dropped.
     """
     with conn:
         conn.execute("BEGIN IMMEDIATE")
@@ -150,10 +156,12 @@ def _migrate(conn: sqlite3.Connection) -> None:
         conn.execute("CREATE INDEX jobs_by_state ON jobs (state, seq)")
         for job_id, data in conn.execute("SELECT id, data FROM jobs_v0"):
             job, seq = _decode(data), _seq_of(job_id)
-            if seq and job is not None and job.id == job_id \
-                    and job.state in STATES:
+            if seq:
+                readable = job is not None and job.id == job_id \
+                    and job.state in STATES
                 conn.execute("INSERT INTO jobs VALUES (?, ?, ?)",
-                             (seq, job.state, data))
+                             (seq, job.state if readable else _UNREADABLE,
+                              data))
         conn.execute("DROP TABLE jobs_v0")
         conn.execute("PRAGMA user_version = 1")
 
@@ -184,7 +192,8 @@ class JobQueue:
         self._lock = threading.RLock()
         self._counts = dict.fromkeys(STATES, 0)
         self._counts.update(self._conn.execute(
-            "SELECT state, COUNT(*) FROM jobs GROUP BY state"))
+            "SELECT state, COUNT(*) FROM jobs WHERE state != ?"
+            " GROUP BY state", (_UNREADABLE,)))
         self.recover()
 
     def close(self) -> None:
@@ -198,21 +207,24 @@ class JobQueue:
         reached, so a caller that stops early (a pull stops at the first
         job it can claim) pays for the rows up to there, not for the
         table.  A row that does not decode could never be read, run or
-        finished: it is deleted, and leaves the counts, when met.
+        finished: when met, it becomes an unreadable row and leaves the
+        counts.  It is not deleted, so ``submit`` never reuses its id.
         """
         after = 0
         while True:
             with self._lock:
                 rows = self._conn.execute(
-                    f"SELECT seq, state, data FROM jobs WHERE seq > ? {where}"
-                    " ORDER BY seq LIMIT ?", (after, *args, _PAGE)).fetchall()
+                    "SELECT seq, state, data FROM jobs WHERE seq > ?"
+                    f" AND state != ? {where} ORDER BY seq LIMIT ?",
+                    (after, _UNREADABLE, *args, _PAGE)).fetchall()
             for after, state, data in rows:
                 if (job := _decode(data)) is not None:
                     yield job
                     continue
                 with self._lock, self._conn:
                     self._counts[state] -= self._conn.execute(
-                        "DELETE FROM jobs WHERE seq = ?", (after,)).rowcount
+                        "UPDATE jobs SET state = ? WHERE seq = ? AND state = ?",
+                        (_UNREADABLE, after, state)).rowcount
             if len(rows) < _PAGE:
                 return
 
@@ -325,21 +337,43 @@ class JobQueue:
             lambda job: job.worker is not None
             and job.lease_expires is not None and job.lease_expires <= now)
 
+    def _still_running(self, job: Job) -> bool:
+        """Refresh ``job`` from its row (lock held); whether the row
+        still runs under the worker ``job`` named."""
+        fresh = self._row(job.id)
+        if fresh is None:
+            return False
+        held = fresh.state == RUNNING and fresh.worker == job.worker
+        vars(job).update(vars(fresh))
+        return held
+
     def requeue(self, job: Job, error: str | None = None) -> bool:
         """Explicitly return one running job to ``submitted`` (fleet
         retry path), preserving its attempt count, if it still runs
         under ``job.worker``; returns whether it did.  ``error``, if
         given, stays visible while the job waits for redelivery."""
         with self._lock:
-            fresh = self._row(job.id)
-            acted = fresh is not None and fresh.state == RUNNING \
-                and fresh.worker == job.worker
-            if acted:
-                fresh.error = error or fresh.error
-                self._requeue_locked(fresh)
-        if fresh is not None:
-            vars(job).update(vars(fresh))
-        return acted
+            held = self._still_running(job)
+            if held:
+                job.error = error or job.error
+                self._requeue_locked(job)
+        return held
+
+    def fail_running(self, job: Job, error: str,
+                     announce: Callable[[Job], None]) -> bool:
+        """Fail ``job`` for good (fleet final-failure path) if it still
+        runs under ``job.worker``; returns whether it did.
+
+        ``announce(job)`` runs just before the transition, under the
+        lock that claims and lease expiry take, so the failure can be
+        published before it is observable and no claim comes between
+        the check and the transition."""
+        with self._lock:
+            held = self._still_running(job)
+            if held:
+                announce(job)
+                self.mark_failed(job, error)
+        return held
 
     def mark_done(self, job: Job, report_key: str | None = None) -> None:
         self._finish(job, DONE, None, report_key)

@@ -22,7 +22,8 @@ Everything lives in one WAL-mode sqlite database, ``<dir>/store.db``:
 
 * ``reports`` — one row per key: the identity, the job id that stored
   it, and the report's exact response bytes (``json.dumps(report,
-  indent=2)``, written once at ``put`` time).  A fetch hands those
+  indent=2)``, written once at ``put`` by
+  :func:`repro.core.jsonio.dumps_indented`).  A fetch hands those
   bytes to the socket with no decode or re-encode; ``get`` is their
   ``json.loads``.
 * ``traces`` — one distributed-trace payload per executed job.
@@ -41,7 +42,7 @@ import json
 import os
 import threading
 
-from repro.core.jsonio import SCHEMA_VERSION
+from repro.core.jsonio import SCHEMA_VERSION, dumps_indented
 from repro.exec.fingerprint import (
     canonical_json,
     code_fingerprint,
@@ -171,7 +172,7 @@ class ReportStore:
                 "refusing to store a report without a schema_version "
                 "stamp (see repro.core.jsonio.report_to_json)")
         key = identity.key()
-        body = json.dumps(report_json, indent=2).encode()
+        body = dumps_indented(report_json).encode()
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO reports (key, identity, job_id, body)"

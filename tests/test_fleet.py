@@ -809,6 +809,33 @@ class TestCoordinatorUnits:
         assert (record.state, record.worker, record.error) == \
             (RUNNING, "w2", None)
 
+    def test_final_fail_after_the_lease_moved_on_is_stale(
+            self, tmp_path, monkeypatch):
+        events = []
+        queue, store, fleet = self._fixture(
+            tmp_path, lease_seconds=0.01,
+            publish=lambda job_id, name, **fields: events.append(name))
+        fleet.retry_limit = 1
+        job, _ = self._submit_real(queue)
+        fleet.register("w1")
+        held = fleet.pull("w1")
+        time.sleep(0.03)
+        fleet.expire()
+        fleet.pull("w2")
+        # w1's last-attempt failure read its job just before the lease
+        # moved: it must not fail the job w2 now runs.
+        monkeypatch.setattr(queue, "get", lambda job_id: held)
+        del events[:]
+        reply = fleet.fail("w1", job.id, "boom",
+                           trace_batch={"trace_id": "t1", "spans": []})
+        assert reply["stale"] is True
+        assert reply["job"]["worker"] == "w2"
+        assert events == []
+        record = queue.jobs()[0]
+        assert (record.state, record.worker, record.error) == \
+            (RUNNING, "w2", None)
+        assert store.get_trace(job.id) is None
+
     def test_idle_worker_claims_every_job_oldest_first(self, tmp_path):
         queue, _, fleet = self._fixture(tmp_path)
         jobs = [queue.submit(APP, {"i": i}, {}, f"key-{i}")

@@ -1,7 +1,13 @@
 """Property-based tests (hypothesis) for core data structures and the
 expected-benefit estimator's invariants."""
 
+import enum
+import json
+import tracemalloc
+from decimal import Decimal
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +17,7 @@ from repro.core.benefit import (
     naive_resource_estimate,
 )
 from repro.core.graph import CpuNode, ExecutionGraph, NodeType, ProblemKind
+from repro.core.jsonio import dumps_indented
 from repro.instr.loadstore import RegionSet
 from repro.instr.symbols import demangle_base_name, strip_template_params
 
@@ -193,3 +200,110 @@ class TestSymbolProperties:
         base = "ns::routine"
         assert demangle_base_name(f"{base}<{a}>") == \
             demangle_base_name(f"{base}<{b}>")
+
+
+# ----------------------------------------------------------------------
+# Report writer: exactly json.dumps(obj, indent=2)
+# ----------------------------------------------------------------------
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Seconds(float):
+    """A float subclass with its own repr, which ``json`` ignores."""
+
+    def __repr__(self) -> str:
+        return f"Seconds({float(self)})"
+
+
+#: Every code point, surrogates and control characters included.
+_text = st.text(st.characters(exclude_categories=()), max_size=12)
+
+_floats = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([1e16, -0.0, 5e-324, 0.1, 1e-7, 2.5e-5, 1e300]),
+    st.floats().map(_Seconds),
+    st.floats().map(np.float64),
+)
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.sampled_from(list(_Level)), _floats, _text)
+
+_keys = st.one_of(_text, st.integers(), _floats, st.booleans(), st.none(),
+                  st.sampled_from(list(_Level)))
+
+
+def _trees(leaves, keys):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+    ), max_leaves=40)
+
+
+def _report_shaped_tree(problems: int = 1950) -> dict:
+    """About the size (2.6 MB written) and shape of a firehose report."""
+    frames = [{"function": f"layer{j}::forward", "file": "train.cpp",
+               "line": 100 + j, "address": 0x401000 + 16 * j}
+              for j in range(6)]
+    return {
+        "schema_version": 1,
+        "workload": "replay",
+        "problems": [{
+            "node_index": i,
+            "kind": "unnecessary_sync",
+            "api_name": "cudaMemcpy",
+            "site": {"address_key": [0x401000 + j for j in range(6)],
+                     "occurrence": i},
+            "stack": frames,
+            "location": f"train.cpp:{100 + i % 50}",
+            "duration": 1e-5 * (i + 1) / 3,
+            "est_benefit": 2.5e-6 * i,
+            "first_use_time": None if i % 2 else 0.125 * i,
+        } for i in range(problems)],
+    }
+
+
+class TestReportWriter:
+    @given(_trees(_scalars, _keys))
+    @settings(max_examples=300, deadline=None)
+    def test_writes_exactly_what_json_dumps_indent_2_writes(self, tree):
+        assert dumps_indented(tree) == json.dumps(tree, indent=2)
+
+    @given(_trees(st.one_of(_scalars, st.sampled_from(
+        [object(), {1, 2}, b"x", 1j, Decimal("1.5")])),
+        st.one_of(_keys, st.tuples(st.integers()))))
+    @settings(max_examples=200, deadline=None)
+    def test_unsupported_types_raise_the_same_type_error(self, tree):
+        try:
+            expected = json.dumps(tree, indent=2)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as raised:
+                dumps_indented(tree)
+            assert str(raised.value) == str(exc)
+        else:
+            assert dumps_indented(tree) == expected
+
+    def test_nested_empty_containers(self):
+        tree = {"a": [], "b": {}, "c": [[], {}, ()], "": [{"": []}]}
+        assert dumps_indented(tree) == json.dumps(tree, indent=2)
+
+    def test_keys_equal_across_types_keep_their_own_text(self):
+        tree = [{"1": 0}, {1: 0}, {True: 0}, {1.0: 0}, {"true": {None: 1}},
+                {"null": 2, 2: [{"2": 3}]}]
+        assert dumps_indented(tree) == json.dumps(tree, indent=2)
+
+    def test_transient_memory_stays_near_twice_the_output(self):
+        # json.dumps(indent=2) keeps one string per token until its
+        # final join: about 6x the output at its peak.
+        tree = _report_shaped_tree()
+        tracemalloc.start()
+        try:
+            text = dumps_indented(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json.dumps(tree, indent=2)
+        assert len(text) > 2_500_000
+        assert peak < 3 * len(text), f"peak {peak / len(text):.2f}x output"

@@ -199,6 +199,23 @@ class TestJobQueue:
         assert reloaded.counts()[SUBMITTED] == 1
         assert JobQueue(tmp_path).depth() == 1
 
+    def test_unreadable_row_keeps_its_job_id(self, tmp_path):
+        # Report traces are stored per job id, first one kept: a reused
+        # id could serve a new job the old job's trace.
+        queue = JobQueue(tmp_path)
+        self._submit(queue, n=2)
+        with sqlite3.connect(tmp_path / "queue.db") as conn:
+            conn.execute("UPDATE jobs SET data = '{truncated' WHERE seq = 2")
+        assert [job.id for job in queue.jobs()] == ["job-000001"]
+        assert queue.get("job-000002") is None
+        assert queue.counts()[SUBMITTED] == 1
+        assert queue.submit(APP, PARAMS, {}, "k").id == "job-000003"
+        reopened = JobQueue(tmp_path)
+        assert reopened.counts()[SUBMITTED] == 2
+        assert [job.id for job in reopened.jobs()] == \
+            ["job-000001", "job-000003"]
+        assert reopened.submit(APP, PARAMS, {}, "k").id == "job-000004"
+
     def test_depth_counts_only_waiting_jobs(self, tmp_path):
         queue = JobQueue(tmp_path)
         self._submit(queue, n=2)

@@ -1,7 +1,11 @@
 """Tests for the four FFM collection stages on synthetic workloads."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.apps.replay import ReplayApp
 from repro.apps.synthetic import (
     DuplicateTransferApp,
     HiddenPrivateSyncApp,
@@ -17,6 +21,8 @@ from repro.core.stage3_memtrace import DedupStore, run_stage3
 from repro.core.stage4_syncuse import run_stage4
 from repro.core.records import SiteKey
 from repro.driver.api import INTERNAL_WAIT_SYMBOL
+from repro.instr.discovery import discover_sync_function
+from repro.runtime.context import ExecutionContext
 
 
 @pytest.fixture
@@ -212,3 +218,61 @@ class TestStage4:
         stage3, stage4 = self._run(app, config)
         required_sites = {r.site for r in stage3.sync_uses if r.required}
         assert {r.site for r in stage4.first_uses} <= required_sites
+
+
+class TestRunsEndTheirProcess:
+    """Each collection run is freed, by reference counting, when its
+    stage returns: no cycle keeps a finished run's machine, device
+    timeline or buffers waiting for the cycle collector."""
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        """Weak references to the machine of every context created."""
+        refs = []
+        create = ExecutionContext.create.__func__
+
+        def recording_create(cls, config=None):
+            ctx = create(cls, config)
+            refs.append(weakref.ref(ctx.machine))
+            return ctx
+
+        monkeypatch.setattr(ExecutionContext, "create",
+                            classmethod(recording_create))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            yield refs
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            gc.enable()
+            gc.collect()
+
+    @pytest.mark.parametrize("workload", [
+        UnnecessarySyncApp(iterations=4),
+        ReplayApp("dl-training"),
+    ], ids=["synthetic-unnecessary-sync", "replay-dl-training"])
+    def test_no_run_outlives_its_stage(self, workload, config, machines):
+        def check(label, run):
+            machines.clear()
+            result = run()
+            assert machines, f"{label} created no context"
+            assert all(ref() is None for ref in machines), \
+                f"{label}: a run's Machine outlived its stage"
+            gc.collect()
+            garbage = sorted({type(o).__name__ for o in gc.garbage})
+            del gc.garbage[:]
+            assert garbage == [], f"{label} left cyclic garbage"
+            return result
+
+        evidence = check("discovery", discover_sync_function)
+        stage1 = check("stage 1",
+                       lambda: run_stage1(workload, config, evidence))
+        check("stage 2", lambda: run_stage2(workload, stage1, config))
+        memtrace = check("stage 3 memtrace", lambda: run_stage3(
+            workload, stage1, config, mode="memtrace"))
+        check("stage 3 hashing", lambda: run_stage3(
+            workload, stage1, config, mode="hashing"))
+        check("stage 4",
+              lambda: run_stage4(workload, stage1, memtrace, config))
