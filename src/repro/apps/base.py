@@ -44,7 +44,12 @@ class Workload(abc.ABC):
 
     def uninstrumented_time(self, config: MachineConfig | None = None) -> float:
         """Virtual wall time of an uninstrumented run."""
-        return self.execute(config).elapsed
+        ctx = ExecutionContext.create(config)
+        try:
+            self.run(ctx)
+            return ctx.elapsed
+        finally:
+            ctx.close()
 
 
 class WorkloadRegistry:

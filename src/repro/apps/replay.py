@@ -31,6 +31,7 @@ sites; exact waits are re-simulated, so magnitudes are approximate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -125,6 +126,69 @@ def report_chrome_trace(report) -> dict:
 # ----------------------------------------------------------------------
 # Converters -> internal op list
 # ----------------------------------------------------------------------
+class _TraceError(ValueError):
+    """A malformed trace, with the record (and field) at fault named."""
+
+
+#: Fields the converters pass through ``float`` or ``int``.
+_NUMERIC_FIELDS = (("ts", float), ("dur", float), ("start", float),
+                   ("duration", float), ("sync_wait", float),
+                   ("first_use_delay", float), ("line", int),
+                   ("stream", int), ("bytes", int), ("nbytes", int))
+
+
+def _bad_field(rec: dict) -> str | None:
+    """What is wrong with ``rec``'s numeric fields, if anything."""
+    for key, convert in _NUMERIC_FIELDS:
+        if key in rec:
+            try:
+                convert(rec[key])
+            except (TypeError, ValueError):
+                return f"bad {key!r} value {rec[key]!r}"
+    return None
+
+
+def _record_error(where: str, rec: dict, exc: Exception) -> _TraceError:
+    """The error for a record whose conversion raised ``exc``, naming
+    the record and, where it can tell, the field.
+
+    The converters read fields directly and diagnose only once a read
+    has failed, so a well-formed trace pays nothing for the checks.
+    """
+    if isinstance(exc, KeyError):
+        return _TraceError(f"{where} has no {exc.args[0]!r} field")
+    return _TraceError(f"{where}: {_bad_field(rec) or exc}")
+
+
+def _in_order(pairs: list, label: str, key, fields: str) -> list:
+    """``(index, record)`` pairs sorted by ``key(pair)``.
+
+    A record that is not an object, or keys that do not compare, are a
+    :class:`_TraceError` naming the record at fault (``label`` formats
+    its index).
+    """
+    try:
+        return sorted(pairs, key=key)
+    except (AttributeError, TypeError):
+        for pos, rec in pairs:
+            if not isinstance(rec, dict):
+                raise _TraceError(f"{label.format(pos)} is not an object: "
+                                  f"{rec!r}") from None
+        for pair in pairs:
+            values = key(pair)
+            if not all(isinstance(v, (int, float)) for v in values):
+                raise _TraceError(f"{label.format(pair[0])}: {fields} must "
+                                  f"be numbers, not {values!r}") from None
+        raise
+
+
+def _json_list(items, name: str) -> list:
+    if not isinstance(items, list):
+        raise _TraceError(f"{name} must be a list, "
+                          f"not {type(items).__name__}")
+    return items
+
+
 class _OpList:
     """Builder for the replay op list, with read scheduling."""
 
@@ -196,157 +260,209 @@ class _OpList:
         self.schedule_read(due, dst, rfile, rline)
 
 
-def _chrome_app_events(data: dict) -> list[dict]:
-    events = [e for e in data.get("traceEvents", [])
-              if e.get("ph") == "X" and e.get("cat") == "cuda"]
+def _chrome_app_events(data: dict) -> list[tuple[int, dict]]:
+    """The app-lane events in timeline order, each with its index in
+    ``traceEvents`` (for error messages)."""
+    events = []
+    for pos, e in enumerate(_json_list(data.get("traceEvents", []),
+                                       "traceEvents")):
+        if not isinstance(e, dict):
+            raise _TraceError(f"traceEvents[{pos}] is not an object: {e!r}")
+        if e.get("ph") == "X" and e.get("cat") == "cuda":
+            if not isinstance(e.get("args", {}), dict):
+                raise _TraceError(f"traceEvents[{pos}]: bad 'args' value "
+                                  f"{e['args']!r}")
+            events.append((pos, e))
     if not events:
         raise ValueError(
             "no application-timeline events (ph=X, cat=cuda) in this "
             "trace; export one with `diogenes run <app> --trace-out ...`")
-    return sorted(events, key=lambda e: (e.get("ts", 0.0),
-                                         e.get("args", {}).get("seq", 0)))
+    return _in_order(events, "traceEvents[{}]", lambda item: (
+        item[1].get("ts", 0.0), item[1].get("args", {}).get("seq", 0)),
+        "'ts' and 'args.seq'")
 
 
 def timeline_from_chrome(data: dict) -> list[dict]:
-    """Convert an exported Chrome trace's app lane into replay ops."""
-    build = _OpList()
-    for idx, event in enumerate(_chrome_app_events(data)):
-        args = event.get("args", {})
-        ts = event.get("ts", 0.0) / 1e6
-        dur = event.get("dur", 0.0) / 1e6
-        end = ts + dur
-        file = args.get("file", "replayed.cpp")
-        line = int(args.get("line", 0))
-        wait = float(args.get("sync_wait", 0.0))
-        is_sync = bool(args.get("is_sync", False))
-        required = bool(args.get("required", False))
-        delay = float(args.get("first_use_delay", 0.0))
-        build.advance(ts)
+    """Convert an exported Chrome trace's app lane into replay ops.
 
-        if args.get("is_transfer", False):
-            nbytes = int(args.get("nbytes", 2048)) or 2048
-            direction = args.get("direction", "h2d")
-            digest = args.get("digest") or f"__fresh_{idx}"
-            pending = max(0.0, wait - _copy_estimate(nbytes))
-            if direction == "h2d":
-                if is_sync and required:
-                    build.synth_protected(_MIN_KERNEL, end + delay)
-                if pending > 25e-6:
-                    build.synth_kernel(pending)
-                build.ops.append({
-                    "op": "h2d", "bytes": nbytes, "payload": digest,
-                    "buffer": f"__dev_{idx}", "sync": is_sync,
-                    "stream": 0, "file": file, "line": line,
-                })
-            elif direction == "d2h":
-                # Re-create the device-side pressure *and* the copied
-                # content: a kernel writes the digest-derived payload,
-                # then the copy drains it.
-                dev, dst = f"__dev_{idx}", f"__host_{idx}"
-                build.ops.append({
-                    "op": "kernel", "name": f"replay_src_{idx}",
-                    "duration": max(pending, _MIN_KERNEL), "stream": 0,
-                    "file": _SYNTH_SRC, "line": 2000 + idx,
-                    "writes": [(dev, digest, nbytes)],
-                })
-                build.ops.append({
-                    "op": "d2h", "bytes": nbytes, "buffer": dev,
-                    "dst": dst, "sync": is_sync, "stream": 0,
-                    "file": file, "line": line,
-                })
-                if is_sync and required:
-                    rfile, rline = build.synth_site()
-                    build.schedule_read(end + delay, dst, rfile, rline)
-            else:  # d2d: pure device work
-                build.ops.append({
-                    "op": "kernel", "name": f"replay_d2d_{idx}",
-                    "duration": max(dur, _MIN_KERNEL), "stream": 0,
-                    "file": file, "line": line, "writes": [],
-                })
-        elif is_sync:
-            if required:
-                build.synth_protected(max(wait, _MIN_KERNEL), end + delay)
-            elif wait > 1e-7:
-                build.synth_kernel(wait)
-            api = ("stream" if "Stream" in event.get("name", "")
-                   else "device")
-            build.ops.append({"op": "sync", "api": api, "stream": 0,
-                              "file": file, "line": line})
-        build.cursor = max(build.cursor, end)
+    A malformed event is a :class:`ValueError` naming it and, where it
+    can tell, its field.
+    """
+    build = _OpList()
+    for idx, (pos, event) in enumerate(_chrome_app_events(data)):
+        try:
+            args = event.get("args", {})
+            ts = event.get("ts", 0.0) / 1e6
+            dur = event.get("dur", 0.0) / 1e6
+            end = ts + dur
+            file = args.get("file", "replayed.cpp")
+            line = int(args.get("line", 0))
+            wait = float(args.get("sync_wait", 0.0))
+            is_sync = bool(args.get("is_sync", False))
+            required = bool(args.get("required", False))
+            delay = float(args.get("first_use_delay", 0.0))
+            build.advance(ts)
+
+            if args.get("is_transfer", False):
+                nbytes = int(args.get("nbytes", 2048)) or 2048
+                direction = args.get("direction", "h2d")
+                digest = args.get("digest") or f"__fresh_{idx}"
+                pending = max(0.0, wait - _copy_estimate(nbytes))
+                if direction == "h2d":
+                    if is_sync and required:
+                        build.synth_protected(_MIN_KERNEL, end + delay)
+                    if pending > 25e-6:
+                        build.synth_kernel(pending)
+                    build.ops.append({
+                        "op": "h2d", "bytes": nbytes, "payload": digest,
+                        "buffer": f"__dev_{idx}", "sync": is_sync,
+                        "stream": 0, "file": file, "line": line,
+                    })
+                elif direction == "d2h":
+                    # Re-create the device-side pressure *and* the copied
+                    # content: a kernel writes the digest-derived payload,
+                    # then the copy drains it.
+                    dev, dst = f"__dev_{idx}", f"__host_{idx}"
+                    build.ops.append({
+                        "op": "kernel", "name": f"replay_src_{idx}",
+                        "duration": max(pending, _MIN_KERNEL), "stream": 0,
+                        "file": _SYNTH_SRC, "line": 2000 + idx,
+                        "writes": [(dev, digest, nbytes)],
+                    })
+                    build.ops.append({
+                        "op": "d2h", "bytes": nbytes, "buffer": dev,
+                        "dst": dst, "sync": is_sync, "stream": 0,
+                        "file": file, "line": line,
+                    })
+                    if is_sync and required:
+                        rfile, rline = build.synth_site()
+                        build.schedule_read(end + delay, dst, rfile, rline)
+                else:  # d2d: pure device work
+                    build.ops.append({
+                        "op": "kernel", "name": f"replay_d2d_{idx}",
+                        "duration": max(dur, _MIN_KERNEL), "stream": 0,
+                        "file": file, "line": line, "writes": [],
+                    })
+            elif is_sync:
+                if required:
+                    build.synth_protected(max(wait, _MIN_KERNEL), end + delay)
+                elif wait > 1e-7:
+                    build.synth_kernel(wait)
+                api = ("stream" if "Stream" in event.get("name", "")
+                       else "device")
+                build.ops.append({"op": "sync", "api": api, "stream": 0,
+                                  "file": file, "line": line})
+            build.cursor = max(build.cursor, end)
+        except (KeyError, TypeError, ValueError) as exc:
+            where, args = f"traceEvents[{pos}]", event.get("args", {})
+            if _bad_field(event) is None and _bad_field(args) is not None:
+                where, event = f"{where} args", args
+            raise _record_error(where, event, exc) from None
     return build.finish()
 
 
 def timeline_from_cupti(data: dict) -> list[dict]:
-    """Convert ``diogenes-cupti-activity/1`` records into replay ops."""
+    """Convert ``diogenes-cupti-activity/1`` records into replay ops.
+
+    A malformed record is a :class:`ValueError` naming it (by its index
+    in ``records``) and, where it can tell, its field.
+    """
     schema = data.get("schema")
     if schema != "diogenes-cupti-activity/1":
         raise ValueError(
             f"unsupported activity schema {schema!r} "
             "(expected 'diogenes-cupti-activity/1')")
-    records = sorted(data.get("records", []),
-                     key=lambda r: (r.get("start", 0.0), r.get("seq", 0)))
+    records = _json_list(data.get("records", []), "records")
     if not records:
         raise ValueError("activity trace has no records")
+    records = _in_order(list(enumerate(records)), "activity record {}",
+                        lambda item: (item[1].get("start", 0.0),
+                                      item[1].get("seq", 0)),
+                        "'start' and 'seq'")
 
     build = _OpList()
-    for idx, rec in enumerate(records):
-        kind = rec.get("kind")
-        start = float(rec.get("start", 0.0))
-        file = rec.get("file", "replayed.cpp")
-        line = int(rec.get("line", 0))
-        build.advance(start)
-        if kind == "kernel":
-            build.ops.append({
-                "op": "kernel", "name": rec.get("name", f"kernel_{idx}"),
-                "duration": float(rec["duration"]),
-                "stream": int(rec.get("stream", 0)),
-                "file": file, "line": line,
-                "writes": [(w["buffer"], w["payload"],
-                            int(w.get("bytes", 2048)))
-                           for w in rec.get("writes", [])],
-            })
-            build.cursor = start + 10e-6
-        elif kind == "memcpy":
-            sync = rec.get("api", "cudaMemcpy") == "cudaMemcpy"
-            nbytes = int(rec.get("bytes", 2048))
-            if rec.get("copy") == "h2d":
+    for idx, (pos, rec) in enumerate(records):
+        try:
+            kind = rec.get("kind")
+            start = float(rec.get("start", 0.0))
+            file = rec.get("file", "replayed.cpp")
+            line = int(rec.get("line", 0))
+            build.advance(start)
+            if kind == "kernel":
                 build.ops.append({
-                    "op": "h2d", "bytes": nbytes,
-                    "payload": rec["payload"], "buffer": rec["buffer"],
-                    "sync": sync, "stream": int(rec.get("stream", 0)),
+                    "op": "kernel", "name": rec.get("name", f"kernel_{idx}"),
+                    "duration": float(rec["duration"]),
+                    "stream": int(rec.get("stream", 0)),
                     "file": file, "line": line,
+                    "writes": _kernel_writes(rec, pos),
                 })
-            elif rec.get("copy") == "d2h":
-                build.ops.append({
-                    "op": "d2h", "bytes": nbytes,
-                    "buffer": rec["buffer"], "dst": rec["dst"],
-                    "sync": sync, "stream": int(rec.get("stream", 0)),
-                    "file": file, "line": line,
-                })
+                build.cursor = start + 10e-6
+            elif kind == "memcpy":
+                sync = rec.get("api", "cudaMemcpy") == "cudaMemcpy"
+                nbytes = int(rec.get("bytes", 2048))
+                if rec.get("copy") == "h2d":
+                    build.ops.append({
+                        "op": "h2d", "bytes": nbytes,
+                        "payload": rec["payload"], "buffer": rec["buffer"],
+                        "sync": sync, "stream": int(rec.get("stream", 0)),
+                        "file": file, "line": line,
+                    })
+                elif rec.get("copy") == "d2h":
+                    build.ops.append({
+                        "op": "d2h", "bytes": nbytes,
+                        "buffer": rec["buffer"], "dst": rec["dst"],
+                        "sync": sync, "stream": int(rec.get("stream", 0)),
+                        "file": file, "line": line,
+                    })
+                else:
+                    raise _TraceError(f"activity record {pos}: memcpy "
+                                      "needs copy 'h2d' or 'd2h'")
+                build.cursor = start + (float(rec.get("duration", 10e-6))
+                                        if sync else 10e-6)
+            elif kind == "sync":
+                api = ("stream"
+                       if rec.get("api") == "cudaStreamSynchronize"
+                       else "device")
+                build.ops.append({"op": "sync", "api": api,
+                                  "stream": int(rec.get("stream", 0)),
+                                  "file": file, "line": line})
+                build.cursor = start + float(rec.get("duration", 0.0))
+            elif kind == "host_read":
+                build.ops.append({"op": "read", "buffer": rec["buffer"],
+                                  "file": file, "line": line})
+                build.cursor = start + 5e-6
             else:
-                raise ValueError(f"memcpy record {idx} needs copy "
-                                 "'h2d' or 'd2h'")
-            build.cursor = start + (float(rec.get("duration", 10e-6))
-                                    if sync else 10e-6)
-        elif kind == "sync":
-            api = ("stream"
-                   if rec.get("api") == "cudaStreamSynchronize"
-                   else "device")
-            build.ops.append({"op": "sync", "api": api,
-                              "stream": int(rec.get("stream", 0)),
-                              "file": file, "line": line})
-            build.cursor = start + float(rec.get("duration", 0.0))
-        elif kind == "host_read":
-            build.ops.append({"op": "read", "buffer": rec["buffer"],
-                              "file": file, "line": line})
-            build.cursor = start + 5e-6
-        else:
-            raise ValueError(f"unknown activity record kind {kind!r}")
+                raise _TraceError(f"unknown activity record kind {kind!r} "
+                                  f"(activity record {pos})")
+        except _TraceError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _record_error(f"activity record {pos}", rec,
+                                exc) from None
     return build.finish()
+
+
+def _kernel_writes(rec: dict, pos: int) -> list[tuple]:
+    """A kernel record's ``writes`` as ``(buffer, payload, bytes)``."""
+    writes = []
+    for j, w in enumerate(_json_list(rec.get("writes", []),
+                                     f"activity record {pos} writes")):
+        where = f"activity record {pos} writes[{j}]"
+        if not isinstance(w, dict):
+            raise _TraceError(f"{where} is not an object: {w!r}")
+        try:
+            writes.append((w["buffer"], w["payload"],
+                           int(w.get("bytes", 2048))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _record_error(where, w, exc) from None
+    return writes
 
 
 def timeline_from_any(data: dict) -> list[dict]:
     """Dispatch on document shape: Chrome trace vs activity records."""
+    if not isinstance(data, dict):
+        raise ValueError("a trace document is a JSON object, "
+                         f"not {type(data).__name__}")
     if "traceEvents" in data:
         return timeline_from_chrome(data)
     if "records" in data or "schema" in data:
@@ -363,7 +479,7 @@ def bundled_traces() -> list[str]:
 
 
 def _resolve_trace(trace: str) -> pathlib.Path:
-    if os.path.exists(trace):
+    if os.path.isfile(trace):
         return pathlib.Path(trace)
     bundled = TRACES_DIR / (trace.replace("-", "_") + ".json")
     if bundled.exists():
@@ -412,37 +528,48 @@ class ReplayApp(Workload):
         return cls.from_timeline(timeline_from_any(data), label)
 
     # ------------------------------------------------------------------
-    def _plan_buffers(self):
-        """Prescan: buffer tag -> byte size (and pinned-ness of hosts)."""
+    @functools.cached_property
+    def _plan(self):
+        """Prescan, once per instance: buffer tag -> byte size (and
+        pinned-ness of hosts), the non-default streams, and each payload
+        tag's fill value.
+
+        All are pure functions of the timeline, and every collection
+        stage runs the same instance.  The fill *arrays* are not kept:
+        kernel payloads are unique per iteration, so keeping them would
+        hold every payload of the trace in memory at once.
+        """
         dev: dict[str, int] = {"__scratch__": 2048}
         host: dict[str, tuple[int, bool]] = {}   # tag -> (bytes, pinned)
         src: dict[tuple[str, bool], int] = {}    # (payload, pinned) -> bytes
+        payloads = set()
 
         def grow(d, key, nbytes):
             d[key] = max(d.get(key, 0), nbytes)
 
         for op in self.timeline:
             if op["op"] == "kernel":
-                for buffer, _payload, nbytes in op["writes"]:
+                for buffer, payload, nbytes in op["writes"]:
                     grow(dev, buffer, nbytes)
+                    payloads.add(payload)
             elif op["op"] == "h2d":
                 grow(dev, op["buffer"], op["bytes"])
-                src[(op["payload"], not op["sync"])] = max(
-                    src.get((op["payload"], not op["sync"]), 0),
-                    op["bytes"])
+                grow(src, (op["payload"], not op["sync"]), op["bytes"])
+                payloads.add(op["payload"])
             elif op["op"] == "d2h":
                 grow(dev, op["buffer"], op["bytes"])
                 nbytes, pinned = host.get(op["dst"], (0, False))
                 host[op["dst"]] = (max(nbytes, op["bytes"]),
                                    pinned or not op["sync"])
-        return dev, host, src
+        streams = sorted({op.get("stream", 0) for op in self.timeline
+                          if op["op"] in ("kernel", "h2d", "d2h", "sync")}
+                         - {0})
+        values = {payload: _tag_value(payload) for payload in payloads}
+        return dev, host, src, streams, values
 
     def run(self, ctx: ExecutionContext) -> None:
         rt = ctx.cudart
-        dev_sizes, host_sizes, src_sizes = self._plan_buffers()
-        stream_ids = sorted({op.get("stream", 0) for op in self.timeline
-                             if op["op"] in ("kernel", "h2d", "d2h", "sync")}
-                            - {0})
+        dev_sizes, host_sizes, src_sizes, stream_ids, values = self._plan
 
         with ctx.frame("replay_main", "replay.cpp", 1):
             dev = {tag: rt.cudaMalloc(max(nbytes, 8), label=f"dev:{tag}")
@@ -463,25 +590,27 @@ class ReplayApp(Workload):
                 # Content derives from the tag: equal tags (equal
                 # recorded digests) transfer equal bytes.  Written in
                 # the prologue, before any synchronization exists.
-                buf.write(np.full(elements, _tag_value(payload)))
+                buf.write(np.full(elements, values[payload]))
                 src[(payload, pinned)] = buf
             streams = {0: 0}
             for sid in stream_ids:
                 streams[sid] = rt.cudaStreamCreate()
 
             for op in self.timeline:
-                self._drive(ctx, op, dev, host, src, streams)
+                self._drive(ctx, op, dev, host, src, streams, values)
 
-    def _drive(self, ctx, op, dev, host, src, streams) -> None:
+    def _drive(self, ctx, op, dev, host, src, streams, values) -> None:
+        # The machine and stack tracker directly, not the context's
+        # cpu_work/frame conveniences: this runs once per replayed op.
         rt = ctx.cudart
         kind = op["op"]
         if kind == "work":
-            ctx.cpu_work(op["seconds"], "replayed")
+            ctx.machine.cpu_work(op["seconds"], "replayed")
             return
-        with ctx.frame("replayed", op["file"], op["line"]):
+        with ctx.stacks.frame("replayed", op["file"], op["line"]):
             if kind == "kernel":
                 writes = [(dev[buffer],
-                           np.full(max(nbytes // 8, 1), _tag_value(payload)))
+                           np.full(max(nbytes // 8, 1), values[payload]))
                           for buffer, payload, nbytes in op["writes"]]
                 rt.cudaLaunchKernel(op["name"], op["duration"],
                                     stream=streams[op.get("stream", 0)],
@@ -505,7 +634,9 @@ class ReplayApp(Workload):
                 else:
                     rt.cudaDeviceSynchronize()
             elif kind == "read":
-                float(host[op["buffer"]].read().sum())
+                # The modelled event is the instrumented load itself;
+                # nothing uses the value, so nothing reduces it.
+                host[op["buffer"]].read()
             else:  # pragma: no cover - converters emit known ops
                 raise ValueError(f"unknown replay op {kind!r}")
 

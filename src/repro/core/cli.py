@@ -888,7 +888,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         workload = registry.create(args.workload,
                                    **parse_params(args.params))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad --param for {args.workload!r}: {exc}") from exc
     config = DiogenesConfig(dedup_policy=args.dedup_policy)
 

@@ -100,14 +100,12 @@ def run_single_run_collection(workload, *, escalation_threshold: int = 3,
     try:
         workload.run(ctx)
     finally:
-        # Flush telemetry even when the workload (or detach) raises —
-        # the ablation driver previously published nothing at all.
-        try:
-            dispatch.detach(probe)
-        finally:
-            obs.record_probe(probe, stage="single_run")
-            obs.record_device(ctx.machine.gpu)
-            obs.record_run_overhead("single_run", ctx.machine)
+        # A raising workload still ends its process (so the run is
+        # freed) and publishes whatever it accumulated.
+        ctx.close()
+        obs.record_probe(probe, stage="single_run")
+        obs.record_device(ctx.machine.gpu)
+        obs.record_run_overhead("single_run", ctx.machine)
 
     result.stage2 = Stage2Data(execution_time=ctx.elapsed, events=events)
     return result

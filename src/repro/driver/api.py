@@ -56,6 +56,10 @@ _COPY_DIRECTION = {
     OpKind.COPY_H2D: "h2d", OpKind.COPY_D2H: "d2h", OpKind.COPY_D2D: "d2d",
 }
 
+#: ``kind.value`` of every op kind, as a dict: the enum's ``value``
+#: property costs two Python calls, and every enqueue publishes it.
+_OP_KIND_VALUE = {kind: kind.value for kind in OpKind}
+
 
 class CudaEvent:
     """A CUDA event: a marker in a stream's timeline.
@@ -87,22 +91,28 @@ def driver_fn(name: str, layer: str = "driver") -> Callable:
 
     Public-layer calls are also reported to the attached CUPTI
     subscription (API interval records); internal and private layers
-    are not — that is the black-box gap.
+    are not — that is the black-box gap.  Nothing is built per call:
+    :meth:`~repro.driver.dispatch.Dispatcher.call` receives the method
+    itself, or, for a public call while a subscription is attached,
+    ``recorded`` (built once, here), plus the call's arguments.
     """
 
+    public = layer == "driver"
+
     def deco(fn: Callable) -> Callable:
+        def recorded(self, *args, **kwargs):
+            clock = self.machine.clock
+            t0 = clock.now
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                if self._cupti is not None:
+                    self._cupti.record_api(name, layer, t0, clock.now)
+
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            def impl():
-                t0 = self.machine.clock.now
-                try:
-                    return fn(self, *args, **kwargs)
-                finally:
-                    if layer == "driver" and self._cupti is not None:
-                        self._cupti.record_api(
-                            name, layer, t0, self.machine.clock.now,
-                        )
-            return self.dispatch.call(name, layer, impl)
+            impl = recorded if public and self._cupti is not None else fn
+            return self.dispatch.call(name, layer, impl, self, *args, **kwargs)
 
         wrapper._dispatch_symbol = (name, layer)
         return wrapper
@@ -124,6 +134,11 @@ class CudaDriver:
         stacks: CallStackTracker | None = None,
     ) -> None:
         self.machine = machine
+        #: The machine's GPU, cost model and (frozen) cost parameters,
+        #: kept here because nearly every entry point reads them.
+        self.gpu = machine.gpu
+        self.costs = machine.costs
+        self.params = machine.costs.params
         self.hostspace = hostspace
         hostspace.set_clock(machine.clock)
         self.stacks = stacks if stacks is not None else CallStackTracker()
@@ -154,14 +169,6 @@ class CudaDriver:
     def cupti(self):
         return self._cupti
 
-    @property
-    def gpu(self):
-        return self.machine.gpu
-
-    @property
-    def costs(self):
-        return self.machine.costs
-
     # ------------------------------------------------------------------
     # Internal functions (Figure 3's right-hand side)
     # ------------------------------------------------------------------
@@ -177,7 +184,7 @@ class CudaDriver:
         spent inside them.
         """
         m = self.machine
-        m.cpu_api(self.costs.params.sync_poll_overhead, INTERNAL_WAIT_SYMBOL)
+        m.cpu_api(self.params.sync_poll_overhead, INTERNAL_WAIT_SYMBOL)
         if math.isinf(deadline):
             raise InfiniteWaitError(
                 f"wait on never-completing device work (scope={scope})"
@@ -187,20 +194,28 @@ class CudaDriver:
         self.dispatch.publish(
             wait_duration=waited, wait_start=wait_start, scope=scope,
         )
-        self._accumulate_up("sync_wait_total", waited)
-        self._accumulate_up("sync_wait_count", 1.0)
+        self._accumulate_wait_up(waited)
         return waited
 
-    def _accumulate_up(self, key: str, value: float) -> None:
-        """Add ``value`` to ``key`` in every in-flight ancestor record."""
+    def _accumulate_wait_up(self, waited: float) -> None:
+        """Add one wait of ``waited`` seconds to ``sync_wait_total`` and
+        ``sync_wait_count`` in every in-flight ancestor record."""
         for frame in self.dispatch._frames[:-1]:
-            frame.meta[key] = frame.meta.get(key, 0.0) + value
+            meta = frame._meta
+            if meta is None:
+                frame._meta = {"sync_wait_total": 0.0 + waited,
+                               "sync_wait_count": 1.0}
+            else:
+                meta["sync_wait_total"] = (meta.get("sync_wait_total", 0.0)
+                                           + waited)
+                meta["sync_wait_count"] = (meta.get("sync_wait_count", 0.0)
+                                           + 1.0)
 
     @internal_fn(INTERNAL_ENQUEUE_SYMBOL)
     def _enqueue(self, op: DeviceOp) -> DeviceOp:
         """Submit one op to the device command queue."""
         self.gpu.enqueue(op, self.machine.clock.now)
-        self.dispatch.publish(op_id=op.op_id, op_kind=op.kind.value)
+        self.dispatch.publish(op_id=op.op_id, op_kind=_OP_KIND_VALUE[op.kind])
         return op
 
     @internal_fn(INTERNAL_TRACK_SYMBOL)
@@ -227,7 +242,7 @@ class CudaDriver:
         dev = self._managed_by_host.get(id(buf))
         if dev is None or dev.managed_residency != "device":
             return
-        p = self.costs.params
+        p = self.params
         self.machine.cpu_api(p.page_fault_cost, "uvm-fault")
         migration = DeviceOp(
             kind=OpKind.COPY_D2H,
@@ -247,7 +262,7 @@ class CudaDriver:
     @driver_fn("cuMemAlloc")
     def cuMemAlloc(self, nbytes: int, label: str = "") -> DeviceBuffer:
         """Allocate device memory.  Host-side cost, no synchronization."""
-        self.machine.cpu_api(self.costs.params.malloc_cost, "cuMemAlloc")
+        self.machine.cpu_api(self.params.malloc_cost, "cuMemAlloc")
         buf = self.devmem.allocate(nbytes, label)
         self._track_alloc("device", nbytes)
         self.dispatch.publish(nbytes=nbytes, dptr=buf.dptr)
@@ -264,7 +279,7 @@ class CudaDriver:
         """
         buf._check_live()
         self._wait_for_completion(self.gpu.busy_until(), scope="cuMemFree")
-        self.machine.cpu_api(self.costs.params.free_cost, "cuMemFree")
+        self.machine.cpu_api(self.params.free_cost, "cuMemFree")
         if buf.managed_host is not None:
             buf.managed_host.free()
         self.devmem.free(buf)
@@ -273,7 +288,7 @@ class CudaDriver:
     @driver_fn("cuMemAllocHost")
     def cuMemAllocHost(self, shape, dtype=None, label: str = "") -> HostBuffer:
         """Allocate pinned (page-locked) host memory."""
-        self.machine.cpu_api(self.costs.params.host_alloc_cost, "cuMemAllocHost")
+        self.machine.cpu_api(self.params.host_alloc_cost, "cuMemAllocHost")
         buf = HostBuffer(
             self.hostspace, shape, dtype if dtype is not None else np.float64,
             pinned=True, label=label,
@@ -289,7 +304,7 @@ class CudaDriver:
     def cuMemFreeHost(self, buf: HostBuffer) -> None:
         if not buf.pinned:
             raise InvalidValueError("cuMemFreeHost on non-pinned buffer")
-        self.machine.cpu_api(self.costs.params.api_call_overhead, "cuMemFreeHost")
+        self.machine.cpu_api(self.params.api_call_overhead, "cuMemFreeHost")
         buf.free()
 
     @driver_fn("cuMemAllocManaged")
@@ -299,7 +314,7 @@ class CudaDriver:
         Returns a :class:`DeviceBuffer` whose ``managed_host`` is the
         CPU-visible :class:`HostBuffer` view of the same allocation.
         """
-        self.machine.cpu_api(self.costs.params.managed_alloc_cost, "cuMemAllocManaged")
+        self.machine.cpu_api(self.params.managed_alloc_cost, "cuMemAllocManaged")
         host = HostBuffer(
             self.hostspace, shape, dtype if dtype is not None else np.float64,
             managed=True, label=label or "managed",
@@ -322,14 +337,12 @@ class CudaDriver:
     # ------------------------------------------------------------------
     def _copy_op(self, kind: OpKind, nbytes: int, stream: int, api: str) -> DeviceOp:
         direction = _COPY_DIRECTION[kind]
-        return DeviceOp(
-            kind=kind,
-            duration=self.costs.copy_duration(nbytes, direction),
-            stream_id=stream,
-            name=f"memcpy_{direction}",
-            nbytes=nbytes,
-            tag={"api": api},
-        )
+        # (kind, duration, stream_id, name, nbytes) by position: an op is
+        # built per transfer, and matching keywords is a measurable part
+        # of that.
+        return DeviceOp(kind, self.costs.copy_duration(nbytes, direction),
+                        stream, f"memcpy_{direction}", nbytes,
+                        tag={"api": api})
 
     @driver_fn("cuMemcpyHtoD")
     def cuMemcpyHtoD(
@@ -358,13 +371,23 @@ class CudaDriver:
 
     def _memcpy_htod(self, dst, src, nbytes, dst_offset, src_offset, *,
                      stream, synchronous, api, sync_reason=None) -> None:
+        """Copy host bytes into the device shadow, once.
+
+        The source bytes go straight into ``dst``'s shadow; ``payload``
+        and ``transfer_payload`` are a read-only *view* of the bytes
+        that landed there, not a copy.  They hold the transferred bytes
+        until the application next writes that device region, which
+        cannot happen inside this call: a probe hashes the view before
+        the root call returns (stage 3 does, at root exit), and a probe
+        that keeps it longer must copy it.
+        """
         if nbytes is None:
             nbytes = min(src.nbytes - src_offset, dst.nbytes - dst_offset)
-        self.machine.cpu_api(self.costs.params.api_call_overhead, api)
-        payload = src.raw_bytes(src_offset, nbytes).copy()
+        self.machine.cpu_api(self.params.api_call_overhead, api)
         op = self._copy_op(OpKind.COPY_H2D, nbytes, stream, api)
         self._enqueue(op)
-        dst.write_shadow(payload, dst_offset)
+        payload = dst.write_shadow(src.raw_bytes(src_offset, nbytes),
+                                   dst_offset)
         self.dispatch.publish(
             nbytes=nbytes, direction="h2d", payload=payload,
             src_address=src.address + src_offset,
@@ -410,15 +433,24 @@ class CudaDriver:
 
     def _memcpy_dtoh(self, dst, src, nbytes, dst_offset, src_offset, *,
                      stream, synchronous, api, sync_reason=None) -> None:
+        """Copy device shadow bytes into host memory, once.
+
+        The shadow bytes go straight into ``dst``; ``payload`` and
+        ``transfer_payload`` are a read-only *view* of the bytes that
+        landed in the host buffer, under the same contract as
+        :meth:`_memcpy_htod`: valid until the application next writes
+        that region, so a probe that keeps it past the root call must
+        copy it.
+        """
         if nbytes is None:
             nbytes = min(src.nbytes - src_offset, dst.nbytes - dst_offset)
-        self.machine.cpu_api(self.costs.params.api_call_overhead, api)
+        self.machine.cpu_api(self.params.api_call_overhead, api)
         op = self._copy_op(OpKind.COPY_D2H, nbytes, stream, api)
         self._enqueue(op)
         # Device -> host DMA: the payload is whatever the device holds
         # once its prior stream work (the producing kernel) finished.
-        payload = src.read_shadow(src_offset, nbytes).copy()
-        dst.raw_write_bytes(payload, dst_offset)
+        payload = dst.raw_write_bytes(src.read_shadow(src_offset, nbytes),
+                                      dst_offset)
         self.dispatch.publish(
             nbytes=nbytes, direction="d2h", payload=payload,
             src_address=src.dptr + src_offset,
@@ -443,7 +475,7 @@ class CudaDriver:
         """Device-to-device copy; asynchronous."""
         if nbytes is None:
             nbytes = min(src.nbytes, dst.nbytes)
-        self.machine.cpu_api(self.costs.params.api_call_overhead, "cuMemcpyDtoD")
+        self.machine.cpu_api(self.params.api_call_overhead, "cuMemcpyDtoD")
         op = self._copy_op(OpKind.COPY_D2D, nbytes, stream, "cuMemcpyDtoD")
         self._enqueue(op)
         dst.write_shadow(src.read_shadow(0, nbytes).copy())
@@ -471,11 +503,11 @@ class CudaDriver:
         """
         if nbytes is None:
             nbytes = dst.nbytes
-        self.machine.cpu_api(self.costs.params.api_call_overhead, "cuMemsetD8")
+        self.machine.cpu_api(self.params.api_call_overhead, "cuMemsetD8")
         if dst.managed_host is not None:
             # Unified memory: synchronize, then set host-resident pages.
             self._wait_for_completion(self.gpu.busy_until(), scope="cuMemsetD8")
-            p = self.costs.params
+            p = self.params
             self.machine.cpu_api(
                 p.page_fault_cost + self.costs.host_memop_duration(nbytes),
                 "cuMemsetD8",
@@ -522,17 +554,16 @@ class CudaDriver:
         values never affect timing, only downstream hashes and
         application results.
         """
-        if isinstance(cost, (int, float)):
-            cost = KernelCost(duration=float(cost))
+        explicit = (float(cost) if isinstance(cost, (int, float))
+                    else cost.duration)
         duration = (
-            math.inf if cost.duration is not None and math.isinf(cost.duration)
+            math.inf if explicit is not None and math.isinf(explicit)
             else self.costs.kernel_duration(cost)
         )
-        self.machine.cpu_api(self.costs.params.launch_overhead, "cuLaunchKernel")
-        op = DeviceOp(
-            kind=OpKind.KERNEL, duration=duration, stream_id=stream,
-            name=name, tag={"api": "cuLaunchKernel"},
-        )
+        self.machine.cpu_api(self.params.launch_overhead, "cuLaunchKernel")
+        # (kind, duration, stream_id, name) by position, as in _copy_op.
+        op = DeviceOp(OpKind.KERNEL, duration, stream, name,
+                      tag={"api": "cuLaunchKernel"})
         self._enqueue(op)
         for target, data in (writes or ()):
             if isinstance(target, DeviceBuffer):
@@ -559,7 +590,7 @@ class CudaDriver:
         cuIBM issues one of these per Thrust dispatch, which is why it
         shows up so prominently in Table 2's HPCToolkit column.
         """
-        self.machine.cpu_api(self.costs.params.api_call_overhead, "cuFuncGetAttributes")
+        self.machine.cpu_api(self.params.api_call_overhead, "cuFuncGetAttributes")
         return {"name": name, "maxThreadsPerBlock": 1024, "numRegs": 32}
 
     # ------------------------------------------------------------------
@@ -567,13 +598,13 @@ class CudaDriver:
     # ------------------------------------------------------------------
     @driver_fn("cuEventCreate")
     def cuEventCreate(self) -> "CudaEvent":
-        self.machine.cpu_api(self.costs.params.api_call_overhead,
+        self.machine.cpu_api(self.params.api_call_overhead,
                              "cuEventCreate")
         return CudaEvent()
 
     @driver_fn("cuEventDestroy")
     def cuEventDestroy(self, event: "CudaEvent") -> None:
-        self.machine.cpu_api(self.costs.params.api_call_overhead,
+        self.machine.cpu_api(self.params.api_call_overhead,
                              "cuEventDestroy")
         event.destroyed = True
 
@@ -582,7 +613,7 @@ class CudaDriver:
         """Record an event: it fires when the stream's currently-enqueued
         work completes.  Host-side this is asynchronous."""
         event._check_live()
-        self.machine.cpu_api(self.costs.params.api_call_overhead,
+        self.machine.cpu_api(self.params.api_call_overhead,
                              "cuEventRecord")
         event.fire_time = self.gpu.stream_completion_time(stream)
         event.recorded = True
@@ -605,7 +636,7 @@ class CudaDriver:
     def cuEventQuery(self, event: "CudaEvent") -> bool:
         """Non-blocking poll: has the event fired yet?"""
         event._check_live()
-        self.machine.cpu_api(self.costs.params.api_call_overhead,
+        self.machine.cpu_api(self.params.api_call_overhead,
                              "cuEventQuery")
         return event.recorded and event.fire_time <= self.machine.clock.now
 
@@ -614,7 +645,7 @@ class CudaDriver:
         """Milliseconds between two recorded events (device timeline)."""
         if not (start.recorded and end.recorded):
             raise InvalidValueError("cuEventElapsedTime on unrecorded event")
-        self.machine.cpu_api(self.costs.params.api_call_overhead,
+        self.machine.cpu_api(self.params.api_call_overhead,
                              "cuEventElapsedTime")
         return (end.fire_time - start.fire_time) * 1e3
 
@@ -623,18 +654,18 @@ class CudaDriver:
     # ------------------------------------------------------------------
     @driver_fn("cuStreamCreate")
     def cuStreamCreate(self) -> int:
-        self.machine.cpu_api(self.costs.params.api_call_overhead, "cuStreamCreate")
+        self.machine.cpu_api(self.params.api_call_overhead, "cuStreamCreate")
         return self.gpu.create_stream()
 
     @driver_fn("cuStreamDestroy")
     def cuStreamDestroy(self, stream: int) -> None:
-        self.machine.cpu_api(self.costs.params.api_call_overhead, "cuStreamDestroy")
+        self.machine.cpu_api(self.params.api_call_overhead, "cuStreamDestroy")
         self.gpu.destroy_stream(stream)
 
     @driver_fn("cuStreamQuery")
     def cuStreamQuery(self, stream: int) -> bool:
         """Non-blocking poll: has all work on ``stream`` completed?"""
-        self.machine.cpu_api(self.costs.params.api_call_overhead,
+        self.machine.cpu_api(self.params.api_call_overhead,
                              "cuStreamQuery")
         return self.gpu.stream_completion_time(stream) <= self.machine.clock.now
 

@@ -112,10 +112,16 @@ class Dispatcher:
 
     def publish(self, **meta: Any) -> None:
         """Attach implementation facts to the in-flight call record."""
-        record = self.current_record
-        if record is None:
+        frames = self._frames
+        if not frames:
             raise RuntimeError("publish() outside a dispatched call")
-        record.meta.update(meta)
+        # The record's ``_meta`` slot directly, not the lazy ``meta``
+        # property: publishing runs several times per simulated call.
+        record = frames[-1]
+        if record._meta is None:
+            record._meta = meta
+        else:
+            record._meta.update(meta)
 
     def publish_up(self, **meta: Any) -> None:
         """Attach facts to the in-flight call record *and* all ancestors.
@@ -125,16 +131,25 @@ class Dispatcher:
         driver-layer copy implementation while ``cudaMemcpy`` is the
         traced symbol.
         """
-        if not self._frames:
+        frames = self._frames
+        if not frames:
             raise RuntimeError("publish_up() outside a dispatched call")
-        for frame in self._frames:
-            frame.meta.update(meta)
+        for frame in frames:
+            if frame._meta is None:
+                frame._meta = dict(meta)
+            else:
+                frame._meta.update(meta)
 
-    def call(self, name: str, layer: str, impl: Callable[[], Any]) -> Any:
-        """Dispatch ``impl`` as function ``name`` in ``layer``.
+    def call(self, name: str, layer: str, impl: Callable[..., Any],
+             /, *args: Any, **kwargs: Any) -> Any:
+        """Dispatch ``impl(*args, **kwargs)`` as ``name`` in ``layer``.
 
         Probes matching ``(name, layer)`` fire at entry and exit; the
         record is pushed so nested dispatched calls see their parent.
+        The arguments pass straight through, so a decorated entry point
+        hands over one ``impl`` built when it was decorated instead of
+        a new closure per call; ``call(name, layer, lambda: ...)``
+        works the same way.
         """
         if name not in self.symbols:
             raise KeyError(f"call to unregistered symbol {name!r}")
@@ -146,13 +161,20 @@ class Dispatcher:
             # (and thus charge/callback order) equals the full scan's.
             matched = self._by_name.get(name, ())
 
+        # CallStackTracker.current(), inlined: the memoized snapshot
+        # while the application stack is unchanged.
+        stacks = self.stacks
+        if stacks._snap_generation == stacks.generation:
+            stack = stacks._snapshot
+        else:
+            stack = stacks.current()
         frames = self._frames
         record = CallRecord(
             name,
             layer,
             0.0,  # t_entry set below, after entry-probe overhead
             len(frames),
-            self.stacks.current(),
+            stack,
             frames[-1].name if frames else None,
         )
         frames.append(record)
@@ -161,17 +183,21 @@ class Dispatcher:
             if not matched:
                 # No-hook fast path: nothing to fire, nothing to charge.
                 record.t_entry = clock.now
-                result = impl()
+                result = impl(*args, **kwargs)
                 record.t_exit = clock.now
                 return result
+            machine = self.machine
             for probe in matched:
-                self._charge(probe.overhead_per_hit)
+                # Probe() validated the fixed cost as a float >= 0, so
+                # it needs none of _charge's checks.
+                if probe.overhead_per_hit > 0:
+                    machine.cpu_api(probe.overhead_per_hit, "instrumentation")
             record.t_entry = clock.now
             for probe in matched:
                 extra = probe.fire_entry(record)
                 if extra is not None:
                     self._charge(extra)
-            result = impl()
+            result = impl(*args, **kwargs)
             record.t_exit = clock.now
             for probe in matched:
                 extra = probe.fire_exit(record)

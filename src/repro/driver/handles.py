@@ -47,11 +47,16 @@ class DeviceBuffer:
         offset, size = self._bounds(offset, size)
         return self.shadow[offset : offset + size]
 
-    def write_shadow(self, data, offset: int = 0) -> None:
+    def write_shadow(self, data, offset: int = 0) -> np.ndarray:
+        """Store ``data``'s bytes at ``offset``; returns a read-only view
+        of the bytes that landed (valid until the region is next written)."""
         self._check_live()
         raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
         offset, size = self._bounds(offset, int(raw.nbytes))
-        self.shadow[offset : offset + size] = raw
+        landed = self.shadow[offset : offset + size]
+        landed[...] = raw
+        landed.flags.writeable = False
+        return landed
 
     def fill_shadow(self, byte_value: int, offset: int = 0, size: int | None = None) -> None:
         self._check_live()

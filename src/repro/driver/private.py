@@ -60,7 +60,7 @@ def private_launch(driver: CudaDriver, name: str, cost: KernelCost | float,
             math.inf if kc.duration is not None and math.isinf(kc.duration)
             else driver.costs.kernel_duration(kc)
         )
-        driver.machine.cpu_api(driver.costs.params.launch_overhead,
+        driver.machine.cpu_api(driver.params.launch_overhead,
                                PRIVATE_LAUNCH_SYMBOL)
         op = DeviceOp(kind=OpKind.KERNEL, duration=duration, stream_id=stream,
                       name=name, tag={"api": PRIVATE_LAUNCH_SYMBOL})
@@ -83,7 +83,7 @@ def private_memcpy_dtoh(driver: CudaDriver, dst: HostBuffer, src: DeviceBuffer,
 
     def impl() -> None:
         n = min(src.nbytes, dst.nbytes) if nbytes is None else nbytes
-        driver.machine.cpu_api(driver.costs.params.api_call_overhead,
+        driver.machine.cpu_api(driver.params.api_call_overhead,
                                PRIVATE_MEMCPY_SYMBOL)
         op = DeviceOp(
             kind=OpKind.COPY_D2H,
@@ -92,8 +92,9 @@ def private_memcpy_dtoh(driver: CudaDriver, dst: HostBuffer, src: DeviceBuffer,
             tag={"api": PRIVATE_MEMCPY_SYMBOL},
         )
         driver._enqueue(op)
-        payload = src.read_shadow(0, n).copy()
-        dst.raw_write_bytes(payload)
+        # One copy; the published payload is a view of the landed bytes
+        # (see CudaDriver._memcpy_dtoh).
+        payload = dst.raw_write_bytes(src.read_shadow(0, n))
         driver.dispatch.publish(
             nbytes=n, direction="d2h", payload=payload,
             src_address=src.dptr, dst_address=dst.address, dst_buffer=dst,
@@ -115,9 +116,8 @@ def private_memcpy_htod(driver: CudaDriver, dst: DeviceBuffer, src: HostBuffer,
 
     def impl() -> None:
         n = min(src.nbytes, dst.nbytes) if nbytes is None else nbytes
-        driver.machine.cpu_api(driver.costs.params.api_call_overhead,
+        driver.machine.cpu_api(driver.params.api_call_overhead,
                                PRIVATE_MEMCPY_SYMBOL)
-        payload = src.raw_bytes(0, n).copy()
         op = DeviceOp(
             kind=OpKind.COPY_H2D,
             duration=driver.costs.copy_duration(n, "h2d"),
@@ -125,7 +125,9 @@ def private_memcpy_htod(driver: CudaDriver, dst: DeviceBuffer, src: HostBuffer,
             tag={"api": PRIVATE_MEMCPY_SYMBOL},
         )
         driver._enqueue(op)
-        dst.write_shadow(payload)
+        # One copy; the published payload is a view of the landed bytes
+        # (see CudaDriver._memcpy_htod).
+        payload = dst.write_shadow(src.raw_bytes(0, n))
         driver.dispatch.publish(
             nbytes=n, direction="h2d", payload=payload,
             src_address=src.address, dst_address=dst.dptr,
@@ -145,7 +147,7 @@ def private_fence(driver: CudaDriver) -> None:
     """Full-device synchronization through the private path."""
 
     def impl() -> None:
-        driver.machine.cpu_api(driver.costs.params.api_call_overhead,
+        driver.machine.cpu_api(driver.params.api_call_overhead,
                                PRIVATE_SYNC_SYMBOL)
         driver._wait_for_completion(driver.gpu.busy_until(),
                                     scope=PRIVATE_SYNC_SYMBOL)

@@ -54,6 +54,9 @@ class HostBuffer:
     ) -> None:
         self.space = space
         self.array = np.zeros(shape, dtype=dtype)
+        #: The region as flat bytes: the one view every raw access,
+        #: digest and typed view slices, made once.
+        self._flat = self.array.reshape(-1).view(np.uint8)
         self.nbytes = int(self.array.nbytes)
         if self.nbytes == 0:
             raise ValueError("zero-sized host buffers are not allocatable")
@@ -131,16 +134,19 @@ class HostBuffer:
     def raw_bytes(self, offset: int = 0, size: int | None = None) -> np.ndarray:
         self._check_live()
         offset, size = self._bounds(offset, size)
-        flat = self.array.reshape(-1).view(np.uint8)
-        return flat[offset : offset + size]
+        return self._flat[offset : offset + size]
 
-    def raw_write_bytes(self, data: np.ndarray, offset: int = 0) -> None:
+    def raw_write_bytes(self, data: np.ndarray, offset: int = 0) -> np.ndarray:
+        """Store ``data``'s bytes at ``offset``; returns a read-only view
+        of the bytes that landed (valid until the region is next written)."""
         self._check_live()
         data = np.asarray(data, dtype=np.uint8).reshape(-1)
         offset, size = self._bounds(offset, int(data.nbytes))
         self.write_generation += 1
-        flat = self.array.reshape(-1).view(np.uint8)
-        flat[offset : offset + size] = data
+        landed = self._flat[offset : offset + size]
+        landed[...] = data
+        landed.flags.writeable = False
+        return landed
 
     # ------------------------------------------------------------------
     # Content digests (stage-3 transfer dedup fast path)
@@ -162,8 +168,7 @@ class HostBuffer:
         cached = self._digest_cache.get(key)
         if cached is not None and cached[0] == self.write_generation:
             return cached[1]
-        flat = self.array.reshape(-1).view(np.uint8)
-        digest = hashlib.blake2b(flat[offset : offset + size],
+        digest = hashlib.blake2b(self._flat[offset : offset + size],
                                  digest_size=digest_size).hexdigest()
         self._digest_cache[key] = (self.write_generation, digest)
         return digest
@@ -182,8 +187,7 @@ class HostBuffer:
         return offset, size
 
     def _view(self, offset: int, size: int) -> np.ndarray:
-        flat = self.array.reshape(-1).view(np.uint8)
-        window = flat[offset : offset + size]
+        window = self._flat[offset : offset + size]
         itemsize = self.array.dtype.itemsize
         if offset % itemsize == 0 and size % itemsize == 0:
             return window.view(self.array.dtype)

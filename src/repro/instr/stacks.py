@@ -262,27 +262,25 @@ class CallStackTracker:
         self.generation = 0
         self._snap_generation = -1
         self._snapshot: StackTrace | None = None
+        #: The snapshots this tracker has taken, keyed by the ids of
+        #: their frames, with the frames themselves (so no other object
+        #: can take one of those ids while the entry exists).  A repeat
+        #: stack then costs a lookup on ints instead of hashing every
+        #: :class:`Frame` for the interner.  A tracker serves one run,
+        #: inside one interning scope.
+        self._seen: dict[tuple[int, ...],
+                         tuple[tuple[Frame, ...], StackTrace]] = {}
 
     @property
     def depth(self) -> int:
         return len(self._frames)
 
-    @contextmanager
-    def frame(self, function: str, file: str, line: int):
-        f = intern_frame(function, file, line)
-        self._frames.append(f)
-        self.generation += 1
-        try:
-            yield f
-        finally:
-            if self._frames:
-                popped = self._frames.pop()
-                self.generation += 1
-                if popped is not f:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        "call stack tracker corrupted (mismatched pop)")
-            # An empty stack here means clear() reset the tracker while
-            # frames were live (a deliberate between-phases reset).
+    def frame(self, function: str, file: str, line: int) -> "_FrameScope":
+        """Context manager pushing the call site's :class:`Frame`.
+
+        Entering pushes the frame and yields it; leaving pops it.
+        """
+        return _FrameScope(self, intern_frame(function, file, line))
 
     def current(self) -> StackTrace:
         """Snapshot the current stack (cheap immutable copy).
@@ -295,13 +293,52 @@ class CallStackTracker:
         build + hash.
         """
         if self._snap_generation != self.generation:
-            self._snapshot = _interner().stack(tuple(self._frames))
+            frames = self._frames
+            key = tuple(map(id, frames))
+            seen = self._seen.get(key)
+            if seen is None:
+                held = tuple(frames)
+                seen = self._seen[key] = (held, _interner().stack(held))
+            self._snapshot = seen[1]
             self._snap_generation = self.generation
         return self._snapshot
 
     def clear(self) -> None:
         self._frames.clear()
         self.generation += 1
+
+
+class _FrameScope:
+    """One :meth:`CallStackTracker.frame` scope.
+
+    A ``__slots__`` class rather than an ``@contextmanager`` generator:
+    applications open one per simulated API call, and the generator
+    form costs a generator, a wrapper object and four extra calls.
+    """
+
+    __slots__ = ("_tracker", "_frame")
+
+    def __init__(self, tracker: CallStackTracker, frame: Frame) -> None:
+        self._tracker = tracker
+        self._frame = frame
+
+    def __enter__(self) -> Frame:
+        tracker = self._tracker
+        tracker._frames.append(self._frame)
+        tracker.generation += 1
+        return self._frame
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracker = self._tracker
+        frames = tracker._frames
+        if frames:
+            popped = frames.pop()
+            tracker.generation += 1
+            if popped is not self._frame:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    "call stack tracker corrupted (mismatched pop)")
+        # An empty stack here means clear() reset the tracker while
+        # frames were live (a deliberate between-phases reset).
 
 
 # ----------------------------------------------------------------------

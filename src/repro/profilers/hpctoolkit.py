@@ -93,8 +93,8 @@ class HpcToolkitProfiler:
         try:
             workload.run(ctx)
         finally:
-            dispatch.detach(tracker.probe)
-            dispatch.detach(wait_probe)
+            ctx.close()
+            tracker.close()
 
         execution_time = ctx.elapsed
         return self._summarise(workload, execution_time, intervals,

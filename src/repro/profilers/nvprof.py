@@ -63,6 +63,8 @@ class NvprofProfiler:
             workload.run(ctx)
         except CuptiOverflowError as exc:
             raise NvprofCrashedError(cupti.total_records) from exc
+        finally:
+            ctx.close()
 
         totals: dict[str, float] = {}
         calls: dict[str, int] = {}

@@ -42,22 +42,31 @@ _RUNTIME_SHIM_COST = 0.4e-6
 
 
 def runtime_fn(name: str) -> Callable:
-    """Decorator: dispatch a runtime method and emit its CUPTI record."""
+    """Decorator: dispatch a runtime method and emit its CUPTI record.
+
+    The dispatched ``impl`` (forwarding charge, the method itself, the
+    CUPTI API record) is built once, here, and handed to
+    :meth:`~repro.driver.dispatch.Dispatcher.call` with the call's
+    arguments, so a runtime call allocates no closure.
+    """
 
     def deco(fn: Callable) -> Callable:
+        def impl(self, *args, **kwargs):
+            driver = self.driver
+            machine = driver.machine
+            t0 = machine.clock.now
+            machine.cpu_api(_RUNTIME_SHIM_COST, name)
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                cupti = driver._cupti
+                if cupti is not None:
+                    cupti.record_api(name, "runtime", t0, machine.clock.now)
+
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            def impl():
-                machine = self.driver.machine
-                t0 = machine.clock.now
-                machine.cpu_api(_RUNTIME_SHIM_COST, name)
-                try:
-                    return fn(self, *args, **kwargs)
-                finally:
-                    cupti = self.driver.cupti
-                    if cupti is not None:
-                        cupti.record_api(name, "runtime", t0, machine.clock.now)
-            return self.driver.dispatch.call(name, "runtime", impl)
+            return self.driver.dispatch.call(name, "runtime", impl,
+                                             self, *args, **kwargs)
 
         wrapper._dispatch_symbol = (name, "runtime")
         return wrapper

@@ -717,7 +717,9 @@ class ServiceDaemon:
                                   f"known: {registry.names()}")
         try:
             registry.create(name, **params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
+            # A parameter the workload does not take (TypeError) or
+            # rejects, such as an unknown replay trace (ValueError).
             raise _HttpError(400, f"bad params for {name!r}: {exc}")
         config_json = request.get("config")
         if config_json is None:

@@ -72,18 +72,30 @@ class CostModel:
     """Maps operation descriptions to virtual durations."""
 
     def __init__(self, params: CostParameters | None = None) -> None:
-        self.params = params if params is not None else CostParameters()
+        self.params = p = params if params is not None else CostParameters()
+        #: Copy bandwidth by direction (the parameters are frozen).
+        self._bandwidth = {
+            "h2d": p.h2d_bandwidth,
+            "d2h": p.d2h_bandwidth,
+            "d2d": p.d2d_bandwidth,
+        }
 
     # ------------------------------------------------------------------
     # Device-side durations
     # ------------------------------------------------------------------
-    def kernel_duration(self, cost: KernelCost) -> float:
-        """Duration of a kernel from an explicit time or a roofline model."""
+    def kernel_duration(self, cost: KernelCost | float) -> float:
+        """Duration of a kernel from an explicit time or a roofline model.
+
+        ``cost`` is a :class:`KernelCost`, or a plain explicit time in
+        seconds, which saves building one per launch.
+        """
         p = self.params
-        if cost.duration is not None:
-            if cost.duration < 0:
+        explicit = (float(cost) if isinstance(cost, (int, float))
+                    else cost.duration)
+        if explicit is not None:
+            if explicit < 0:
                 raise ValueError("explicit kernel duration must be >= 0")
-            return max(cost.duration, 0.0)
+            return max(explicit, 0.0)
         compute_time = cost.flops / (p.device_gflops * 1e9)
         memory_time = cost.bytes_moved / p.device_mem_bandwidth
         return max(p.kernel_min_duration, compute_time, memory_time)
@@ -94,11 +106,7 @@ class CostModel:
         ``direction`` is one of ``"h2d"``, ``"d2h"``, ``"d2d"``.
         """
         p = self.params
-        bandwidth = {
-            "h2d": p.h2d_bandwidth,
-            "d2h": p.d2h_bandwidth,
-            "d2d": p.d2d_bandwidth,
-        }.get(direction)
+        bandwidth = self._bandwidth.get(direction)
         if bandwidth is None:
             raise ValueError(f"unknown copy direction {direction!r}")
         if nbytes < 0:

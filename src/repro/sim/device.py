@@ -120,7 +120,10 @@ class GpuDevice:
         kind = _ENGINE_FOR_KIND[op.kind]
         if kind != "compute":
             return self.engines[kind]
-        return min(self.compute_engines, key=lambda e: e.free_at)
+        engines = self.compute_engines
+        if len(engines) == 1:
+            return engines[0]
+        return min(engines, key=lambda e: e.free_at)
 
     def stream_completion_time(self, stream_id: int) -> float:
         return self.stream(stream_id).completion_time()

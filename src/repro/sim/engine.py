@@ -45,7 +45,7 @@ class Engine:
         not start before its predecessor in the same stream finished,
         nor before the host enqueued it).
         """
-        if self.blocked_forever:
+        if self._infinite_op is not None:  # blocked_forever, inlined
             # Work queued behind an infinite kernel never starts until
             # the kernel is cancelled; record a provisional infinite
             # schedule so waits on it never complete either.

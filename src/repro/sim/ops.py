@@ -35,9 +35,9 @@ class OpKind(enum.Enum):
 
 _op_ids = itertools.count(1)
 
-
-def _next_op_id() -> int:
-    return next(_op_ids)
+#: Issues the next op id; a bound C method, so the dataclass's default
+#: factory makes no Python call per op.
+_next_op_id = _op_ids.__next__
 
 
 @dataclass(slots=True)

@@ -122,6 +122,48 @@ def test_cupti_converter_rejects_empty_and_unknown_records():
         timeline_from_cupti(_activity([{"kind": "nvlink", "start": 0.0}]))
 
 
+@pytest.mark.parametrize("records, message", [
+    ([{"kind": "kernel", "start": 0.0}],
+     "activity record 0 has no 'duration' field"),
+    ([{"kind": "memcpy", "copy": "h2d", "buffer": "b", "start": 0.0}],
+     "activity record 0 has no 'payload' field"),
+    ([{"kind": "kernel", "start": 0.0, "duration": 1e-5},
+      {"kind": "memcpy", "copy": "d2h", "buffer": "b", "start": 1.0}],
+     "activity record 1 has no 'dst' field"),
+    ([{"kind": "host_read", "start": 0.0}],
+     "activity record 0 has no 'buffer' field"),
+    ([{"kind": "kernel", "start": 0.0, "duration": 1e-5,
+       "writes": [{"buffer": "b"}]}],
+     "activity record 0 writes\\[0\\] has no 'payload' field"),
+    ([{"kind": "kernel", "start": "soon", "duration": 1e-5}],
+     "activity record 0: bad 'start' value 'soon'"),
+    ([{"kind": "sync", "start": 0.0, "line": "x"}],
+     "activity record 0: bad 'line' value 'x'"),
+    ([5], "activity record 0 is not an object"),
+    ("nope", "records must be a list, not str"),
+], ids=["kernel-duration", "h2d-payload", "d2h-dst", "read-buffer",
+        "write-payload", "start", "line", "record-not-object",
+        "records-not-list"])
+def test_cupti_converter_names_the_bad_record_and_field(records, message):
+    with pytest.raises(ValueError, match=message):
+        timeline_from_cupti(_activity(records))
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"traceEvents": "nope"}, "traceEvents must be a list, not str"),
+    ({"traceEvents": [5]}, "traceEvents\\[0\\] is not an object"),
+    ({"traceEvents": [{"ph": "M"}, {"ph": "X", "cat": "cuda", "ts": "x"}]},
+     "traceEvents\\[1\\]: bad 'ts' value 'x'"),
+    ({"traceEvents": [{"ph": "X", "cat": "cuda", "args": [1]}]},
+     "traceEvents\\[0\\]: bad 'args' value"),
+    ({"traceEvents": [{"ph": "X", "cat": "cuda", "args": {"line": "q"}}]},
+     "traceEvents\\[0\\] args: bad 'line' value 'q'"),
+], ids=["events-not-list", "event-not-object", "ts", "args", "line"])
+def test_chrome_converter_names_the_bad_event_and_field(document, message):
+    with pytest.raises(ValueError, match=message):
+        timeline_from_chrome(document)
+
+
 def test_cupti_converter_emits_gaps_as_cpu_work():
     ops = timeline_from_cupti(_activity([
         {"kind": "kernel", "name": "k", "duration": 1e-4, "start": 0.0,

@@ -240,6 +240,20 @@ class TestCliParams:
             main(["run", "synthetic-unnecessary-sync",
                   "--param", "nonsense=1"])
 
+    @pytest.mark.parametrize("args, message", [
+        (["cumf-als", "--param", "fix=bogus"], "fix must be one of"),
+        (["replay", "--param", "trace=no-such-trace"], "unknown trace"),
+    ], ids=["cumf-als-fix", "replay-trace"])
+    def test_rejected_param_value_is_a_bad_param_line(self, args, message):
+        # The constructor's ValueError becomes the same one-line exit as
+        # a parameter the workload does not take, not a traceback.
+        from repro.core.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["run", *args])
+        assert str(info.value).startswith(f"bad --param for {args[0]!r}: ")
+        assert message in str(info.value)
+
     def test_fixes_view(self, capsys):
         from repro.core.cli import main
 

@@ -699,6 +699,20 @@ class TestDaemonValidation:
             client.submit(APP, {"bogus_arg": 1})
         assert info.value.status == 400
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("cumf-als", {"fix": "bogus"}, "fix must be one of"),
+        ("replay", {"trace": "no-such-trace"}, "unknown trace"),
+    ], ids=["cumf-als-fix", "replay-trace"])
+    def test_rejected_param_values_are_400_and_queue_nothing(
+            self, service, name, params, message):
+        # The workload's constructor raises ValueError: a client error,
+        # answered before anything is queued.
+        client, _ = service
+        with pytest.raises(ServiceError, match=message) as info:
+            client.submit(name, params)
+        assert info.value.status == 400
+        assert client.jobs()["jobs"] == []
+
     def test_retired_config_field_is_400(self, service):
         # Stage 3 always runs as two collection runs: no config field
         # merges them, and a config naming an unknown field is refused.

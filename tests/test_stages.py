@@ -20,8 +20,11 @@ from repro.core.stage2_tracing import run_stage2, traced_function_set
 from repro.core.stage3_memtrace import DedupStore, run_stage3
 from repro.core.stage4_syncuse import run_stage4
 from repro.core.records import SiteKey
+from repro.core.singlerun import run_single_run_collection
 from repro.driver.api import INTERNAL_WAIT_SYMBOL
 from repro.instr.discovery import discover_sync_function
+from repro.profilers.hpctoolkit import HpcToolkitProfiler
+from repro.profilers.nvprof import NvprofProfiler
 from repro.runtime.context import ExecutionContext
 
 
@@ -223,17 +226,21 @@ class TestStage4:
 class TestRunsEndTheirProcess:
     """Each collection run is freed, by reference counting, when its
     stage returns: no cycle keeps a finished run's machine, device
-    timeline or buffers waiting for the cycle collector."""
+    timeline or buffers waiting for the cycle collector.  The runs
+    outside the FFM stages (the single-run ablation, both baseline
+    profilers, an uninstrumented timing run) end theirs the same way."""
 
     @pytest.fixture
-    def machines(self, monkeypatch):
-        """Weak references to the machine of every context created."""
+    def runs(self, monkeypatch):
+        """Weak references to the machine and the driver of every
+        context created."""
         refs = []
         create = ExecutionContext.create.__func__
 
         def recording_create(cls, config=None):
             ctx = create(cls, config)
             refs.append(weakref.ref(ctx.machine))
+            refs.append(weakref.ref(ctx.driver))
             return ctx
 
         monkeypatch.setattr(ExecutionContext, "create",
@@ -253,13 +260,13 @@ class TestRunsEndTheirProcess:
         UnnecessarySyncApp(iterations=4),
         ReplayApp("dl-training"),
     ], ids=["synthetic-unnecessary-sync", "replay-dl-training"])
-    def test_no_run_outlives_its_stage(self, workload, config, machines):
+    def test_no_run_outlives_its_stage(self, workload, config, runs):
         def check(label, run):
-            machines.clear()
+            runs.clear()
             result = run()
-            assert machines, f"{label} created no context"
-            assert all(ref() is None for ref in machines), \
-                f"{label}: a run's Machine outlived its stage"
+            assert runs, f"{label} created no context"
+            assert all(ref() is None for ref in runs), \
+                f"{label}: a run's Machine or CudaDriver outlived it"
             gc.collect()
             garbage = sorted({type(o).__name__ for o in gc.garbage})
             del gc.garbage[:]
@@ -276,3 +283,8 @@ class TestRunsEndTheirProcess:
             workload, stage1, config, mode="hashing"))
         check("stage 4",
               lambda: run_stage4(workload, stage1, memtrace, config))
+        check("single run", lambda: run_single_run_collection(workload))
+        check("nvprof", lambda: NvprofProfiler().profile(workload))
+        check("hpctoolkit", lambda: HpcToolkitProfiler().profile(workload))
+        check("uninstrumented time", workload.uninstrumented_time)
+
