@@ -30,8 +30,16 @@ hardware vs what this package builds) and EXPERIMENTS.md for
 paper-vs-measured results per table and figure.
 """
 
-from repro.core.diogenes import Diogenes, DiogenesConfig, DiogenesReport
+from repro._lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = ["Diogenes", "DiogenesConfig", "DiogenesReport", "__version__"]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "Diogenes": "repro.core.diogenes",
+    "DiogenesConfig": "repro.core.diogenes",
+    "DiogenesReport": "repro.core.diogenes",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__ = exports(__name__, _EXPORTS)

@@ -18,6 +18,13 @@ Plus :mod:`repro.apps.synthetic` pattern generators used heavily by
 the test suite.
 """
 
-from repro.apps.base import Workload, registry
+from repro._lazy import exports
 
-__all__ = ["Workload", "registry"]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "Workload": "repro.apps.base",
+    "registry": "repro.apps.base",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.apps.data import poisson_system
 from repro.runtime.context import ExecutionContext
 from repro.sim.costs import KernelCost
@@ -223,6 +223,3 @@ class Amg(Workload):
                 rt.cudaFreeHost(resid_pinned)
                 rt.cudaStreamDestroy(copy_stream)
         self.solution = x
-
-
-registry.register("amg", Amg)

@@ -11,10 +11,12 @@ with the same inputs".
 from __future__ import annotations
 
 import abc
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
-from repro.runtime.context import ExecutionContext
-from repro.sim.machine import MachineConfig
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.runtime.context import ExecutionContext
+    from repro.sim.machine import MachineConfig
 
 
 class Workload(abc.ABC):
@@ -38,12 +40,16 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     def execute(self, config: MachineConfig | None = None) -> ExecutionContext:
         """Run on a brand-new context and return it (for inspection)."""
+        from repro.runtime.context import ExecutionContext
+
         ctx = ExecutionContext.create(config)
         self.run(ctx)
         return ctx
 
     def uninstrumented_time(self, config: MachineConfig | None = None) -> float:
         """Virtual wall time of an uninstrumented run."""
+        from repro.runtime.context import ExecutionContext
+
         ctx = ExecutionContext.create(config)
         try:
             self.run(ctx)
@@ -52,24 +58,71 @@ class Workload(abc.ABC):
             ctx.close()
 
 
+#: The bundled workloads: name -> (defining module, factory in it).
+#: The one list of them: ``diogenes list`` reads it without importing
+#: a workload, and :meth:`WorkloadRegistry.create` imports just the
+#: module of the workload it builds.
+BUNDLED: dict[str, tuple[str, str]] = {
+    "amg": ("repro.apps.amg", "Amg"),
+    "cuibm": ("repro.apps.cuibm", "CuIbm"),
+    "cumf-als": ("repro.apps.cumf_als", "CumfAls"),
+    "fuzzed": ("repro.fuzz.generator", "FuzzedApp"),
+    "replay": ("repro.apps.replay", "ReplayApp"),
+    "rodinia-gaussian": ("repro.apps.rodinia_gaussian", "RodiniaGaussian"),
+    "synthetic-duplicate-transfer": ("repro.apps.synthetic",
+                                     "DuplicateTransferApp"),
+    "synthetic-misplaced-sync": ("repro.apps.synthetic", "MisplacedSyncApp"),
+    "synthetic-private-sync": ("repro.apps.synthetic", "HiddenPrivateSyncApp"),
+    "synthetic-quiet": ("repro.apps.synthetic", "QuietApp"),
+    "synthetic-random": ("repro.apps.synthetic", "RandomScriptApp"),
+    "synthetic-scripted": ("repro.apps.synthetic", "default_scripted_app"),
+    "synthetic-unnecessary-sync": ("repro.apps.synthetic",
+                                   "UnnecessarySyncApp"),
+}
+
+
 class WorkloadRegistry:
-    """Name -> factory registry, used by the CLI and the benches."""
+    """Name -> factory registry, used by the CLI and the benches.
+
+    The bundled workloads come from :data:`BUNDLED`; :meth:`register`
+    adds others (a test's, a user's) under new names.
+    """
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[[], Workload]] = {}
 
     def register(self, name: str, factory: Callable[[], Workload]) -> None:
-        if name in self._factories:
+        if name in BUNDLED or name in self._factories:
             raise ValueError(f"workload {name!r} already registered")
         self._factories[name] = factory
 
-    def create(self, name: str, **kwargs) -> Workload:
+    def source_file(self, name: str) -> str | None:
+        """The source file defining ``name``'s factory, whether or not
+        its module is imported (``None`` for an unknown name)."""
+        import importlib.util
+        import inspect
+
+        if name in BUNDLED:
+            return importlib.util.find_spec(BUNDLED[name][0]).origin
+        factory = self._factories.get(name)
+        if factory is None:
+            return None
         try:
-            factory = self._factories[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown workload {name!r}; known: {sorted(self._factories)}"
-            ) from None
+            return inspect.getsourcefile(factory)
+        except TypeError:  # pragma: no cover - exotic factory objects
+            return None
+
+    def create(self, name: str, **kwargs) -> Workload:
+        """Build ``name``, importing its module first if it is bundled."""
+        factory = self._factories.get(name)
+        if factory is None:
+            try:
+                module, attr = BUNDLED[name]
+            except KeyError:
+                raise KeyError(
+                    f"unknown workload {name!r}; known: {self.names()}"
+                ) from None
+            factory = getattr(importlib.import_module(module), attr)
         workload = factory(**kwargs) if kwargs else factory()
         # Stamp the construction recipe so the parallel executor can
         # rebuild this exact workload inside a worker process
@@ -79,8 +132,8 @@ class WorkloadRegistry:
         return workload
 
     def names(self) -> list[str]:
-        return sorted(self._factories)
+        return sorted({*BUNDLED, *self._factories})
 
 
-#: Process-wide registry; application modules register at import.
+#: Process-wide registry.
 registry = WorkloadRegistry()

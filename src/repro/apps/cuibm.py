@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.apps.data import lid_driven_cavity
 from repro.runtime.context import ExecutionContext
 from repro.sim.costs import KernelCost
@@ -323,6 +323,3 @@ class CuIbm(Workload):
         y[:, 1:] -= g[:, :-1]
         y[:, :-1] -= g[:, 1:]
         return y.reshape(-1)
-
-
-registry.register("cuibm", CuIbm)

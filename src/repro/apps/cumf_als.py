@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.apps.data import movielens_like
 from repro.runtime.context import ExecutionContext
 from repro.sim.costs import KernelCost
@@ -306,6 +306,3 @@ class CumfAls(Workload):
                 self.rmse_history.append(rmse)
             ctx.cpu_work(cover * 2.0, "rmse_bookkeeping")
         return theta_new
-
-
-registry.register("cumf-als", CumfAls)

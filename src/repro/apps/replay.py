@@ -39,7 +39,7 @@ import pathlib
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.runtime.context import ExecutionContext
 
 #: Directory of bundled real-shaped traces.
@@ -146,6 +146,16 @@ def _bad_field(rec: dict) -> str | None:
             except (TypeError, ValueError):
                 return f"bad {key!r} value {rec[key]!r}"
     return None
+
+
+def _tag(key: str, value):
+    """``value``, the buffer or payload tag in field ``key``.  Tags key
+    the replay plan, so one that cannot (a list or an object) fails
+    here, at conversion, and not in the first collection run."""
+    if isinstance(value, (list, dict)):
+        raise TypeError(f"bad {key!r} value {value!r} (a tag cannot be a "
+                        f"list or an object)")
+    return value
 
 
 def _record_error(where: str, rec: dict, exc: Exception) -> _TraceError:
@@ -306,7 +316,8 @@ def timeline_from_chrome(data: dict) -> list[dict]:
             if args.get("is_transfer", False):
                 nbytes = int(args.get("nbytes", 2048)) or 2048
                 direction = args.get("direction", "h2d")
-                digest = args.get("digest") or f"__fresh_{idx}"
+                digest = _tag("digest",
+                              args.get("digest") or f"__fresh_{idx}")
                 pending = max(0.0, wait - _copy_estimate(nbytes))
                 if direction == "h2d":
                     if is_sync and required:
@@ -403,14 +414,16 @@ def timeline_from_cupti(data: dict) -> list[dict]:
                 if rec.get("copy") == "h2d":
                     build.ops.append({
                         "op": "h2d", "bytes": nbytes,
-                        "payload": rec["payload"], "buffer": rec["buffer"],
+                        "payload": _tag("payload", rec["payload"]),
+                        "buffer": _tag("buffer", rec["buffer"]),
                         "sync": sync, "stream": int(rec.get("stream", 0)),
                         "file": file, "line": line,
                     })
                 elif rec.get("copy") == "d2h":
                     build.ops.append({
                         "op": "d2h", "bytes": nbytes,
-                        "buffer": rec["buffer"], "dst": rec["dst"],
+                        "buffer": _tag("buffer", rec["buffer"]),
+                        "dst": _tag("dst", rec["dst"]),
                         "sync": sync, "stream": int(rec.get("stream", 0)),
                         "file": file, "line": line,
                     })
@@ -428,7 +441,8 @@ def timeline_from_cupti(data: dict) -> list[dict]:
                                   "file": file, "line": line})
                 build.cursor = start + float(rec.get("duration", 0.0))
             elif kind == "host_read":
-                build.ops.append({"op": "read", "buffer": rec["buffer"],
+                build.ops.append({"op": "read",
+                                  "buffer": _tag("buffer", rec["buffer"]),
                                   "file": file, "line": line})
                 build.cursor = start + 5e-6
             else:
@@ -451,7 +465,8 @@ def _kernel_writes(rec: dict, pos: int) -> list[tuple]:
         if not isinstance(w, dict):
             raise _TraceError(f"{where} is not an object: {w!r}")
         try:
-            writes.append((w["buffer"], w["payload"],
+            writes.append((_tag("buffer", w["buffer"]),
+                           _tag("payload", w["payload"]),
                            int(w.get("bytes", 2048))))
         except (KeyError, TypeError, ValueError) as exc:
             raise _record_error(where, w, exc) from None
@@ -639,6 +654,3 @@ class ReplayApp(Workload):
                 host[op["buffer"]].read()
             else:  # pragma: no cover - converters emit known ops
                 raise ValueError(f"unknown replay op {kind!r}")
-
-
-registry.register("replay", ReplayApp)

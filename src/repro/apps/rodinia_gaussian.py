@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.apps.data import gaussian_matrix
 from repro.runtime.context import ExecutionContext
 from repro.sim.costs import KernelCost
@@ -108,6 +108,3 @@ class RodiniaGaussian(Workload):
                 rt.cudaFree(dev_a)
                 rt.cudaFree(dev_b)
                 rt.cudaFree(dev_m)
-
-
-registry.register("rodinia-gaussian", RodiniaGaussian)

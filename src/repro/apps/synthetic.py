@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.runtime.context import ExecutionContext
 
 _SRC = "synthetic.cpp"
@@ -219,13 +219,6 @@ class QuietApp(Workload):
                         self.checksum += float(pinned.read().sum())
 
 
-registry.register("synthetic-unnecessary-sync", UnnecessarySyncApp)
-registry.register("synthetic-misplaced-sync", MisplacedSyncApp)
-registry.register("synthetic-duplicate-transfer", DuplicateTransferApp)
-registry.register("synthetic-private-sync", HiddenPrivateSyncApp)
-registry.register("synthetic-quiet", QuietApp)
-
-
 class ScriptedApp(Workload):
     """A workload driven by an explicit op script — the property-test
     workhorse.
@@ -298,8 +291,10 @@ class ScriptedApp(Workload):
                         raise ValueError(f"unknown scripted op {op!r}")
 
 
-registry.register("synthetic-scripted",
-                  lambda: ScriptedApp([("launch", 1e-4), ("sync",)]))
+def default_scripted_app() -> ScriptedApp:
+    """The ``synthetic-scripted`` workload: one kernel launch, then a
+    device sync."""
+    return ScriptedApp([("launch", 1e-4), ("sync",)])
 
 
 #: Step menu for seeded random scripts (shared with the validation
@@ -337,6 +332,3 @@ class RandomScriptApp(ScriptedApp):
         self.seed = seed
         self.length = length
         self.name = f"synthetic-random-{seed}"
-
-
-registry.register("synthetic-random", RandomScriptApp)

@@ -19,24 +19,20 @@ Five stages, four of them separate instrumented runs of the workload
    ranked, JSON-exportable reports (:mod:`repro.core.report`).
 """
 
-from repro.core.analysis import AnalysisResult, ProblemKind
-from repro.core.diogenes import Diogenes, DiogenesConfig
-from repro.core.records import (
-    Stage1Data,
-    Stage2Data,
-    Stage3Data,
-    Stage4Data,
-    TraceEvent,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "AnalysisResult",
-    "Diogenes",
-    "DiogenesConfig",
-    "ProblemKind",
-    "Stage1Data",
-    "Stage2Data",
-    "Stage3Data",
-    "Stage4Data",
-    "TraceEvent",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "AnalysisResult": "repro.core.analysis",
+    "ProblemKind": "repro.core.analysis",
+    "Diogenes": "repro.core.diogenes",
+    "DiogenesConfig": "repro.core.diogenes",
+    "Stage1Data": "repro.core.records",
+    "Stage2Data": "repro.core.records",
+    "Stage3Data": "repro.core.records",
+    "Stage4Data": "repro.core.records",
+    "TraceEvent": "repro.core.records",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

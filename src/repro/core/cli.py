@@ -41,26 +41,35 @@ The third execution path is the persistent analysis service
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-import repro.obs as obs
-from repro.apps.base import registry
-from repro.core.diogenes import Diogenes, DiogenesConfig
-from repro.core import report as reports
-from repro.core.jsonio import dumps_indented, dumps_report, session_meta
+# Each command imports the modules it runs when it is dispatched: `list`
+# and the service client commands load neither numpy nor the simulator,
+# `run` loads the one workload it analyses, and the commands that run
+# jobs (serve, worker, batch, fuzz) load the execution stack and every
+# workload module before they start (docs/performance.md, "Cold start").
 
 
 def _load_workloads() -> None:
-    """Import application modules so they self-register."""
-    import repro.apps.synthetic  # noqa: F401
-    import repro.apps.cumf_als  # noqa: F401
-    import repro.apps.cuibm  # noqa: F401
-    import repro.apps.amg  # noqa: F401
-    import repro.apps.rodinia_gaussian  # noqa: F401
-    import repro.apps.replay  # noqa: F401
-    import repro.fuzz.generator  # noqa: F401
+    """Import every bundled workload module."""
+    import importlib
+
+    from repro.apps.base import BUNDLED
+
+    for module, _ in BUNDLED.values():
+        importlib.import_module(module)
+
+
+def _load_job_modules() -> None:
+    """Import what a service job runs that is otherwise imported on
+    first use: every workload module, the stages' event tables and the
+    report's fix list.  ``serve`` and ``worker`` call this before they
+    serve, so no import lands inside a job's time."""
+    import repro.core.autofix  # noqa: F401
+    import repro.exec.table  # noqa: F401
+
+    _load_workloads()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,6 +352,8 @@ def parse_params(pairs: list[str]) -> dict:
 
 
 def _render(args, report) -> str:
+    from repro.core import report as reports
+
     if args.view == "overview":
         return reports.render_overview(report)
     if args.view == "problems":
@@ -394,6 +405,8 @@ def _export_observability(args, session, reports=()) -> None:
             # Chrome export gets an extra lane per analyzed workload:
             # the application's own traced timeline (pid 3+), which
             # `diogenes run replay --param trace=...` can re-ingest.
+            import json
+
             from repro.apps.replay import app_timeline_events
             doc = session.tracer.to_chrome_trace()
             for offset, report in enumerate(reports):
@@ -418,9 +431,13 @@ def _run_batch(args) -> int:
     """Run several workloads through one shared executor + cache."""
     import os
 
-    from repro.core.diogenes import report_from_stage_results
+    import repro.obs as obs
+    from repro.apps.base import registry
+    from repro.core.diogenes import DiogenesConfig, report_from_stage_results
+    from repro.core.jsonio import dumps_report, session_meta
     from repro.exec import StageExecutor, WorkloadSpec
 
+    _load_workloads()
     config = DiogenesConfig(dedup_policy=args.dedup_policy)
     try:
         workloads = [registry.create(name) for name in args.workloads]
@@ -534,6 +551,7 @@ def _client(args):
 def _cmd_serve(args) -> int:
     from repro.service.daemon import ServiceDaemon
 
+    _load_job_modules()
     try:
         daemon = ServiceDaemon(args.data_dir, workers=args.workers,
                                jobs=args.jobs, max_queue=args.max_queue,
@@ -552,6 +570,7 @@ def _cmd_worker(args) -> int:
 
     from repro.fleet.worker import WorkerNode
 
+    _load_job_modules()
     node = WorkerNode(args.coordinator, worker_id=args.worker_id,
                       jobs=args.jobs, poll_interval=args.poll_interval,
                       on_event=lambda name, **fields: print(
@@ -586,6 +605,8 @@ def _cmd_submit(args) -> int:
     job = client.wait(job["id"])
     print(f"{job['id']}  {job['state']}")
     if args.json_path:
+        from repro.core.jsonio import dumps_indented
+
         report = client.report(job["report_key"])
         with open(args.json_path, "w") as fp:
             fp.write(dumps_indented(report))
@@ -624,6 +645,8 @@ def _resolve_report_key(client, ref: str) -> str:
 
 def _cmd_fetch(args) -> int:
     import json
+
+    from repro.core.jsonio import dumps_indented
 
     client = _client(args)
     report = client.report(_resolve_report_key(client, args.key))
@@ -734,7 +757,12 @@ def _cmd_diff(args) -> int:
     import json
     import os
 
-    from repro.core.diffing import diff_from_json, diff_reports, diff_to_json
+    from repro.core.diffing import (
+        diff_from_json,
+        diff_reports,
+        diff_to_json,
+        render_diff,
+    )
     from repro.core.jsonio import load_report_json
 
     if os.path.isfile(args.report_a) and os.path.isfile(args.report_b):
@@ -749,7 +777,7 @@ def _cmd_diff(args) -> int:
         diff = diff_from_json(client.diff(
             _resolve_report_key(client, args.report_a),
             _resolve_report_key(client, args.report_b)))
-    print(reports.render_diff(diff))
+    print(render_diff(diff))
     if args.json_path:
         with open(args.json_path, "w") as fp:
             json.dump(diff_to_json(diff), fp, indent=2)
@@ -791,6 +819,7 @@ def _cmd_cache(args) -> int:
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import Tolerance, run_campaign
 
+    _load_workloads()
     if args.count < 1:
         raise SystemExit(f"--count must be >= 1, got {args.count}")
     tol = Tolerance()
@@ -850,40 +879,11 @@ _SERVICE_COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _load_workloads()
-
-    if args.command == "list":
-        for name in registry.names():
-            print(name)
-        return 0
-
-    if args.command == "batch":
-        return _run_batch(args)
-
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-
-    if args.command in _SERVICE_COMMANDS:
-        from repro.service.client import ServiceError
-
-        try:
-            return _SERVICE_COMMANDS[args.command](args)
-        except ServiceError as exc:
-            raise SystemExit(str(exc)) from exc
-        except BrokenPipeError:
-            # `diogenes tail --json | head` closes our stdout mid-
-            # stream; exit quietly like any well-behaved filter.  The
-            # dup2 keeps the interpreter's exit-time stdout flush from
-            # raising the same error again.
-            import os
-
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
-        finally:
-            if getattr(args, "client", None) is not None:
-                args.client.close()
+def _cmd_run(args) -> int:
+    """``run`` and ``explore``: one workload through the five stages."""
+    import repro.obs as obs
+    from repro.apps.base import registry
+    from repro.core.diogenes import Diogenes, DiogenesConfig
 
     try:
         workload = registry.create(args.workload,
@@ -919,6 +919,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(_render(args, report))
     if args.json_path:
+        from repro.core.jsonio import dumps_report, session_meta
+
         meta = session_meta(session) if session is not None else None
         with open(args.json_path, "w") as fp:
             fp.write(dumps_report(report, meta=meta))
@@ -926,6 +928,45 @@ def main(argv: list[str] | None = None) -> int:
     if session is not None:
         _export_observability(args, session, [report])
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    if args.command == "list":
+        from repro.apps.base import registry
+
+        for name in registry.names():
+            print(name)
+        return 0
+
+    if args.command == "batch":
+        return _run_batch(args)
+
+    if args.command == "fuzz":
+        return _cmd_fuzz(args)
+
+    if args.command in _SERVICE_COMMANDS:
+        from repro.service.client import ServiceError
+
+        try:
+            return _SERVICE_COMMANDS[args.command](args)
+        except ServiceError as exc:
+            raise SystemExit(str(exc)) from exc
+        except BrokenPipeError:
+            # `diogenes tail --json | head` closes our stdout mid-
+            # stream; exit quietly like any well-behaved filter.  The
+            # dup2 keeps the interpreter's exit-time stdout flush from
+            # raising the same error again.
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
+        finally:
+            if getattr(args, "client", None) is not None:
+                args.client.close()
+
+    return _cmd_run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

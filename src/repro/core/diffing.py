@@ -35,6 +35,14 @@ BENEFIT_EPSILON = 1e-12
 #: Classification outcomes, in rendering order.
 STATUSES = ("new", "regressed", "improved", "fixed", "unchanged")
 
+#: Display label of each problem kind, by its JSON value
+#: (``ProblemKind.value``).
+KIND_LABELS = {
+    "unnecessary_synchronization": "Unnecessary synchronization",
+    "misplaced_synchronization": "Misplaced synchronization",
+    "unnecessary_transfer": "Unnecessary (duplicate) transfer",
+}
+
 
 class SchemaMismatchError(ValueError):
     """Two reports (or a report and this tool) disagree on schema."""
@@ -278,3 +286,52 @@ def diff_from_json(data: dict) -> ReportDiff:
             for g in data["groups"]
         ],
     )
+
+
+def render_diff(diff) -> str:
+    """Delta table for a :class:`ReportDiff`.
+
+    The same rendering serves `diogenes diff a.json b.json` offline,
+    the service-backed diff, and the explorer's `diff` command.  It
+    lives here, beside the diff it renders, so a diff against the
+    service loads no analysis code.
+    """
+    faster = diff.execution_delta <= 0
+    lines = [
+        f"Report diff: {diff.workload_a} (a) vs {diff.workload_b} (b)",
+        f"  execution time:   a {diff.execution_time_a:.6f}s   "
+        f"b {diff.execution_time_b:.6f}s   "
+        f"{'-' if faster else '+'}{abs(diff.execution_delta):.6f}s "
+        f"({diff.execution_delta_percent:+.2f}%)",
+        f"  est recoverable:  a {diff.total_benefit_a:.6f}s   "
+        f"b {diff.total_benefit_b:.6f}s",
+    ]
+    if diff.fixed_groups:
+        lines.append(f"  recovered by fixed groups (estimate): "
+                     f"{diff.recovered_benefit:.6f}s")
+    lines.append("")
+    titles = {
+        "new": "New problem groups",
+        "regressed": "Regressed problem groups",
+        "improved": "Improved problem groups",
+        "fixed": "Fixed problem groups",
+        "unchanged": "Unchanged problem groups",
+    }
+    for status in STATUSES:
+        groups = diff.by_status(status)
+        lines.append(f"{titles[status]} ({len(groups)})")
+        if status == "unchanged":
+            continue  # count only; unchanged detail is noise
+        for g in groups:
+            label = KIND_LABELS.get(g.kind, g.kind)
+            lines.append(
+                f"  {label} — {g.location}  "
+                f"count {g.count_a}->{g.count_b}  "
+                f"benefit {g.benefit_a:.6f}s->{g.benefit_b:.6f}s "
+                f"({g.benefit_delta:+.6f}s)")
+    lines.append("")
+    lines.append("REGRESSION: run b introduces or worsens problems"
+                 if diff.is_regression else
+                 "No regression: run b introduces no new or worsened "
+                 "problem groups")
+    return "\n".join(lines)

@@ -13,24 +13,28 @@ only in its pure-Python encoder, which yields one string per token and
 joins them all at the end, so it holds about six times the output at
 its peak.  The writer appends one string per item instead, and joins
 those in batches of :data:`_BATCH`, so it holds about twice the output
-and takes about half the time.
+and takes about half the time.  The writer needs no analysis code, so
+the service's client commands import this module without numpy.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import TYPE_CHECKING
 
-from repro.core.analysis import ProblemRecord
-from repro.core.diogenes import DiogenesReport
-from repro.core.grouping import ProblemGroup, expand_fold
-from repro.core.records import frames_to_json
-from repro.core.sequences import Sequence
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.analysis import ProblemRecord
+    from repro.core.diogenes import DiogenesReport
+    from repro.core.grouping import ProblemGroup
+    from repro.core.sequences import Sequence
 
 SCHEMA_VERSION = 1
 
 
 def problem_to_json(p: ProblemRecord) -> dict:
+    from repro.core.records import frames_to_json
+
     return {
         "node_index": p.node_index,
         "kind": p.kind.value,
@@ -54,6 +58,8 @@ def group_to_json(g: ProblemGroup) -> dict:
         "member_nodes": [m.node_index for m in g.members],
     }
     if g.kind == "api_fold":
+        from repro.core.grouping import expand_fold
+
         data["expansion"] = [
             {
                 "function": row.function,

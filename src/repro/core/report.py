@@ -13,16 +13,14 @@ can print or snapshot them.
 
 from __future__ import annotations
 
+from repro.core.diffing import KIND_LABELS, render_diff  # noqa: F401
 from repro.core.diogenes import DiogenesReport
 from repro.core.graph import ProblemKind
 from repro.core.grouping import ProblemGroup, expand_fold
 from repro.core.sequences import Sequence
 
-_KIND_LABEL = {
-    ProblemKind.UNNECESSARY_SYNC: "Unnecessary synchronization",
-    ProblemKind.MISPLACED_SYNC: "Misplaced synchronization",
-    ProblemKind.UNNECESSARY_TRANSFER: "Unnecessary (duplicate) transfer",
-}
+_KIND_LABEL = {kind: KIND_LABELS[kind.value] for kind in ProblemKind
+               if kind.value in KIND_LABELS}
 
 
 def _pct(report: DiogenesReport, seconds: float) -> float:
@@ -138,56 +136,6 @@ def render_overhead(report: DiogenesReport) -> str:
         f"  total collection:     {oh.total_collection_time:.3f}s "
         f"({oh.overhead_multiple:.1f}x baseline)"
     )
-    return "\n".join(lines)
-
-
-def render_diff(diff) -> str:
-    """Delta table for a :class:`repro.core.diffing.ReportDiff`.
-
-    The same rendering serves `diogenes diff a.json b.json` offline,
-    the service-backed diff, and the explorer's `diff` command.
-    """
-    kind_label = {k.value: v for k, v in _KIND_LABEL.items()}
-    faster = diff.execution_delta <= 0
-    lines = [
-        f"Report diff: {diff.workload_a} (a) vs {diff.workload_b} (b)",
-        f"  execution time:   a {diff.execution_time_a:.6f}s   "
-        f"b {diff.execution_time_b:.6f}s   "
-        f"{'-' if faster else '+'}{abs(diff.execution_delta):.6f}s "
-        f"({diff.execution_delta_percent:+.2f}%)",
-        f"  est recoverable:  a {diff.total_benefit_a:.6f}s   "
-        f"b {diff.total_benefit_b:.6f}s",
-    ]
-    if diff.fixed_groups:
-        lines.append(f"  recovered by fixed groups (estimate): "
-                     f"{diff.recovered_benefit:.6f}s")
-    lines.append("")
-    titles = {
-        "new": "New problem groups",
-        "regressed": "Regressed problem groups",
-        "improved": "Improved problem groups",
-        "fixed": "Fixed problem groups",
-        "unchanged": "Unchanged problem groups",
-    }
-    from repro.core.diffing import STATUSES
-
-    for status in STATUSES:
-        groups = diff.by_status(status)
-        lines.append(f"{titles[status]} ({len(groups)})")
-        if status == "unchanged":
-            continue  # count only; unchanged detail is noise
-        for g in groups:
-            label = kind_label.get(g.kind, g.kind)
-            lines.append(
-                f"  {label} — {g.location}  "
-                f"count {g.count_a}->{g.count_b}  "
-                f"benefit {g.benefit_a:.6f}s->{g.benefit_b:.6f}s "
-                f"({g.benefit_delta:+.6f}s)")
-    lines.append("")
-    lines.append("REGRESSION: run b introduces or worsens problems"
-                 if diff.is_regression else
-                 "No regression: run b introduces no new or worsened "
-                 "problem groups")
     return "\n".join(lines)
 
 

@@ -7,6 +7,12 @@ this package exercises the "operations unreported by existing tools"
 path of the evaluation.
 """
 
-from repro.cublas.gemm import CublasHandle
+from repro._lazy import exports
 
-__all__ = ["CublasHandle"]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "CublasHandle": "repro.cublas.gemm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

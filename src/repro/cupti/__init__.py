@@ -16,20 +16,17 @@ on it (our NVProf- and HPCToolkit-like profilers) inherit:
   as observed on cuIBM in the paper (§5.2).
 """
 
-from repro.cupti.activity import CuptiSubscription
-from repro.cupti.records import (
-    ApiRecord,
-    KernelActivity,
-    MemcpyActivity,
-    MemsetActivity,
-    SyncActivity,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ApiRecord",
-    "CuptiSubscription",
-    "KernelActivity",
-    "MemcpyActivity",
-    "MemsetActivity",
-    "SyncActivity",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "CuptiSubscription": "repro.cupti.activity",
+    "ApiRecord": "repro.cupti.records",
+    "KernelActivity": "repro.cupti.records",
+    "MemcpyActivity": "repro.cupti.records",
+    "MemsetActivity": "repro.cupti.records",
+    "SyncActivity": "repro.cupti.records",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

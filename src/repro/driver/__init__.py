@@ -15,17 +15,18 @@ Everything Diogenes measures funnels through this package:
 * :mod:`repro.driver.handles` — device memory handles.
 """
 
-from repro.driver.api import CudaDriver, INTERNAL_WAIT_SYMBOL
-from repro.driver.dispatch import Dispatcher
-from repro.driver.errors import CudaDriverError, InvalidHandleError
-from repro.driver.handles import DeviceAllocator, DeviceBuffer
+from repro._lazy import exports
 
-__all__ = [
-    "CudaDriver",
-    "CudaDriverError",
-    "DeviceAllocator",
-    "DeviceBuffer",
-    "Dispatcher",
-    "INTERNAL_WAIT_SYMBOL",
-    "InvalidHandleError",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "CudaDriver": "repro.driver.api",
+    "INTERNAL_WAIT_SYMBOL": "repro.driver.api",
+    "Dispatcher": "repro.driver.dispatch",
+    "CudaDriverError": "repro.driver.errors",
+    "InvalidHandleError": "repro.driver.errors",
+    "DeviceAllocator": "repro.driver.handles",
+    "DeviceBuffer": "repro.driver.handles",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -148,7 +148,7 @@ class CudaDriver:
         #: Managed (unified-memory) allocations by host buffer identity,
         #: for demand-migration fault handling.
         self._managed_by_host: dict[int, DeviceBuffer] = {}
-        hostspace.hooks.add(self._uvm_fault_handler)
+        hostspace.hooks.add(self._uvm_fault_handler, managed_only=True)
         self._register_symbols()
 
     # ------------------------------------------------------------------

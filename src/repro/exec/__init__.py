@@ -18,15 +18,17 @@ CLI's ``--jobs`` / ``--cache-dir`` flags.  Design and invalidation
 rules: ``docs/parallel_execution.md``.
 """
 
-from repro.exec.cache import ResultCache
-from repro.exec.executor import StageExecutor
-from repro.exec.jobs import JobResult, StageJob, WorkloadSpec, execute_job
+from repro._lazy import exports
 
-__all__ = [
-    "JobResult",
-    "ResultCache",
-    "StageExecutor",
-    "StageJob",
-    "WorkloadSpec",
-    "execute_job",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "ResultCache": "repro.exec.cache",
+    "StageExecutor": "repro.exec.executor",
+    "JobResult": "repro.exec.jobs",
+    "StageJob": "repro.exec.jobs",
+    "WorkloadSpec": "repro.exec.jobs",
+    "execute_job": "repro.exec.jobs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -30,12 +30,12 @@ import hashlib
 import json
 import pathlib
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import repro
-from repro.core.benefit import BenefitConfig
-from repro.core.diogenes import DiogenesConfig
-from repro.sim.costs import CostParameters
-from repro.sim.machine import MachineConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.diogenes import DiogenesConfig
 
 #: Bump when the cache payload layout changes (old entries become
 #: unreadable misses, never wrong answers).  v2: stage payloads are
@@ -84,6 +84,11 @@ def config_to_json(config: DiogenesConfig) -> dict:
 
 def config_from_json(d: dict) -> DiogenesConfig:
     """Rebuild a :class:`DiogenesConfig` from :func:`config_to_json`."""
+    from repro.core.benefit import BenefitConfig
+    from repro.core.diogenes import DiogenesConfig
+    from repro.sim.costs import CostParameters
+    from repro.sim.machine import MachineConfig
+
     d = dict(d)
     machine = dict(d.pop("machine_config"))
     machine["cost_params"] = CostParameters(**machine["cost_params"])
@@ -137,19 +142,10 @@ def workload_fingerprint(name: str, params: dict) -> str:
     """
     from repro.apps.base import registry
 
-    source_digest = ""
-    factory = registry._factories.get(name)
-    if factory is not None:
-        import inspect
-
-        try:
-            source_file = inspect.getsourcefile(factory)
-        except TypeError:  # pragma: no cover - exotic factory objects
-            source_file = None
-        if source_file is not None:
-            source_digest = _module_source_digest(source_file)
+    source_file = registry.source_file(name)
     return digest_json({
         "name": name,
         "params": params,
-        "source": source_digest,
+        "source": (_module_source_digest(source_file)
+                   if source_file is not None else ""),
     })

@@ -72,9 +72,7 @@ class WorkloadSpec:
     def create(self):
         """Instantiate the workload from the process-wide registry."""
         from repro.apps.base import registry
-        from repro.core.cli import _load_workloads
 
-        _load_workloads()
         return registry.create(self.name, **self.params_dict())
 
     def fingerprint(self) -> str:

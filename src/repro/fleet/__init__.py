@@ -28,15 +28,14 @@ Protocol, backpressure rules, and a runnable two-worker example:
 ``docs/service.md`` ("Fleet mode").
 """
 
-# The service package's init imports the daemon, which imports the
-# coordinator and worker below; loading it first resolves that cycle
-# from the service side whichever package is imported first.
-import repro.service  # noqa: F401
-from repro.fleet.coordinator import FleetCoordinator, WorkerInfo
-from repro.fleet.worker import WorkerNode
+from repro._lazy import exports
 
-__all__ = [
-    "FleetCoordinator",
-    "WorkerInfo",
-    "WorkerNode",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "FleetCoordinator": "repro.fleet.coordinator",
+    "WorkerInfo": "repro.fleet.coordinator",
+    "WorkerNode": "repro.fleet.worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -15,30 +15,21 @@ every generated app through the full five-stage pipeline and checks:
 See docs/fuzzing_and_replay.md and the ``diogenes fuzz`` subcommand.
 """
 
-from repro.fuzz.generator import (
-    FuzzedApp,
-    FuzzPlan,
-    PlantedProblem,
-    Segment,
-    build_plan,
-)
-from repro.fuzz.validate import (
-    CampaignResult,
-    SeedResult,
-    Tolerance,
-    run_campaign,
-    validate_seed,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "FuzzedApp",
-    "FuzzPlan",
-    "PlantedProblem",
-    "Segment",
-    "build_plan",
-    "CampaignResult",
-    "SeedResult",
-    "Tolerance",
-    "run_campaign",
-    "validate_seed",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "FuzzedApp": "repro.fuzz.generator",
+    "FuzzPlan": "repro.fuzz.generator",
+    "PlantedProblem": "repro.fuzz.generator",
+    "Segment": "repro.fuzz.generator",
+    "build_plan": "repro.fuzz.generator",
+    "CampaignResult": "repro.fuzz.validate",
+    "SeedResult": "repro.fuzz.validate",
+    "Tolerance": "repro.fuzz.validate",
+    "run_campaign": "repro.fuzz.validate",
+    "validate_seed": "repro.fuzz.validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.base import Workload, registry
+from repro.apps.base import Workload
 from repro.runtime.context import ExecutionContext
 
 #: Problem-kind strings in manifests (match ``ProblemKind.value``).
@@ -329,6 +329,3 @@ class FuzzedApp(Workload):
 
             else:  # pragma: no cover - build_plan emits known kinds
                 raise ValueError(f"unknown segment kind {seg.kind!r}")
-
-
-registry.register("fuzzed", FuzzedApp)

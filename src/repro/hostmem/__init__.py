@@ -13,16 +13,17 @@ page-aligned fake address space so tools can reason about address
 ranges the way a binary tool would.
 """
 
-from repro.hostmem.accesshooks import AccessEvent, AccessHookRegistry
-from repro.hostmem.allocator import PAGE_SIZE, HostAddressSpace
-from repro.hostmem.buffer import HostBuffer
-from repro.hostmem.protection import ProtectionError
+from repro._lazy import exports
 
-__all__ = [
-    "PAGE_SIZE",
-    "AccessEvent",
-    "AccessHookRegistry",
-    "HostAddressSpace",
-    "HostBuffer",
-    "ProtectionError",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "AccessEvent": "repro.hostmem.accesshooks",
+    "AccessHookRegistry": "repro.hostmem.accesshooks",
+    "PAGE_SIZE": "repro.hostmem.allocator",
+    "HostAddressSpace": "repro.hostmem.allocator",
+    "HostBuffer": "repro.hostmem.buffer",
+    "ProtectionError": "repro.hostmem.protection",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -36,24 +36,36 @@ AccessHook = Callable[[AccessEvent], None]
 
 
 class AccessHookRegistry:
-    """Ordered set of access hooks with cheap is-empty fast path.
+    """Ordered set of access hooks with cheap is-empty fast paths.
 
     The registry is owned by a :class:`repro.hostmem.allocator.
     HostAddressSpace`; all buffers in that space report through it.
     Hooks are called in registration order.  A hook raising propagates
     to the application — instrumentation bugs should be loud.
+
+    A hook added with ``managed_only=True`` acts on accesses to managed
+    (unified-memory) buffers alone, as the driver's fault handler does.
+    :attr:`watch_all` is true while some hook wants every access; when
+    it is false, an access to an unmanaged buffer builds no event.
     """
 
     def __init__(self) -> None:
         self._hooks: list[AccessHook] = []
+        self._managed_only: list[AccessHook] = []
+        #: Some hook wants accesses to unmanaged buffers too.
+        self.watch_all = False
 
     @property
     def active(self) -> bool:
         return bool(self._hooks)
 
-    def add(self, hook: AccessHook) -> AccessHook:
+    def add(self, hook: AccessHook, *,
+            managed_only: bool = False) -> AccessHook:
         """Register ``hook``; returns it for later removal."""
         self._hooks.append(hook)
+        if managed_only:
+            self._managed_only.append(hook)
+        self._update()
         return hook
 
     def remove(self, hook: AccessHook) -> None:
@@ -61,9 +73,17 @@ class AccessHookRegistry:
             self._hooks.remove(hook)
         except ValueError:
             raise KeyError("hook is not registered") from None
+        if hook in self._managed_only:
+            self._managed_only.remove(hook)
+        self._update()
 
     def clear(self) -> None:
         self._hooks.clear()
+        self._managed_only.clear()
+        self._update()
+
+    def _update(self) -> None:
+        self.watch_all = len(self._hooks) > len(self._managed_only)
 
     def fire(self, event: AccessEvent) -> None:
         for hook in self._hooks:

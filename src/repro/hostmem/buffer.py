@@ -195,7 +195,7 @@ class HostBuffer:
 
     def _fire(self, kind: str, offset: int, size: int) -> None:
         hooks = self.space.hooks
-        if hooks.active:
+        if hooks.watch_all or (self.managed and hooks.active):
             hooks.fire(
                 AccessEvent(
                     buffer=self,

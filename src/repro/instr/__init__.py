@@ -20,18 +20,19 @@ simulated binary:
   the paper (§3.5.2).
 """
 
-from repro.instr.manager import InstrumentationManager
-from repro.instr.probes import CallRecord, Probe
-from repro.instr.stacks import CallStackTracker, Frame, StackTrace
-from repro.instr.symbols import demangle_base_name, instruction_address
+from repro._lazy import exports
 
-__all__ = [
-    "CallRecord",
-    "CallStackTracker",
-    "Frame",
-    "InstrumentationManager",
-    "Probe",
-    "StackTrace",
-    "demangle_base_name",
-    "instruction_address",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "InstrumentationManager": "repro.instr.manager",
+    "CallRecord": "repro.instr.probes",
+    "Probe": "repro.instr.probes",
+    "CallStackTracker": "repro.instr.stacks",
+    "Frame": "repro.instr.stacks",
+    "StackTrace": "repro.instr.stacks",
+    "demangle_base_name": "repro.instr.symbols",
+    "instruction_address": "repro.instr.symbols",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

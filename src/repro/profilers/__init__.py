@@ -17,14 +17,16 @@ paper's central argument is that this is not the same thing as
 *obtainable benefit*, which is what Diogenes estimates instead.
 """
 
-from repro.profilers.base import ProfileEntry, ProfileResult
-from repro.profilers.hpctoolkit import HpcToolkitProfiler
-from repro.profilers.nvprof import NvprofCrashedError, NvprofProfiler
+from repro._lazy import exports
 
-__all__ = [
-    "HpcToolkitProfiler",
-    "NvprofCrashedError",
-    "NvprofProfiler",
-    "ProfileEntry",
-    "ProfileResult",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "ProfileEntry": "repro.profilers.base",
+    "ProfileResult": "repro.profilers.base",
+    "HpcToolkitProfiler": "repro.profilers.hpctoolkit",
+    "NvprofCrashedError": "repro.profilers.nvprof",
+    "NvprofProfiler": "repro.profilers.nvprof",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

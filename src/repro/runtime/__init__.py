@@ -11,7 +11,13 @@ a workload runs on: machine + host address space + driver + runtime +
 stack tracker, built fresh for every run (FFM is a multi-*run* model).
 """
 
-from repro.runtime.api import CudaRuntime
-from repro.runtime.context import ExecutionContext
+from repro._lazy import exports
 
-__all__ = ["CudaRuntime", "ExecutionContext"]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "CudaRuntime": "repro.runtime.api",
+    "ExecutionContext": "repro.runtime.context",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

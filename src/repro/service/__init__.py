@@ -28,28 +28,22 @@ daemon's ``/diff`` endpoint serves the same diff over stored reports.
 API reference and deployment notes: ``docs/service.md``.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import ServiceDaemon
-from repro.service.queue import (
-    DONE,
-    FAILED,
-    RUNNING,
-    SUBMITTED,
-    Job,
-    JobQueue,
-)
-from repro.service.store import ReportStore, report_identity
+from repro._lazy import exports
 
-__all__ = [
-    "DONE",
-    "FAILED",
-    "RUNNING",
-    "SUBMITTED",
-    "Job",
-    "JobQueue",
-    "ReportStore",
-    "ServiceClient",
-    "ServiceDaemon",
-    "ServiceError",
-    "report_identity",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "ServiceDaemon": "repro.service.daemon",
+    "DONE": "repro.service.queue",
+    "FAILED": "repro.service.queue",
+    "RUNNING": "repro.service.queue",
+    "SUBMITTED": "repro.service.queue",
+    "Job": "repro.service.queue",
+    "JobQueue": "repro.service.queue",
+    "ReportStore": "repro.service.store",
+    "report_identity": "repro.service.store",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -29,7 +29,6 @@ import urllib.error
 import urllib.parse
 import urllib.request
 
-from repro.exec.columnar import encode_tree
 from repro.service.queue import DONE, FAILED
 
 #: Transient-failure retry schedule (attempt n sleeps up to
@@ -278,6 +277,8 @@ class ServiceClient:
         ``snapshot`` optionally carries the final streaming snapshot,
         relayed to the job's ``/events`` stream ahead of ``job.done``.
         """
+        from repro.exec.columnar import encode_tree
+
         body = {"worker": worker, "job": job_id, "identity": identity,
                 "report": encode_tree(report), "trace": trace}
         if snapshot is not None:

@@ -87,6 +87,7 @@ import time
 import urllib.parse
 
 import repro.obs as obs
+from repro.apps.base import registry
 from repro.core.diffing import SchemaMismatchError, diff_reports, diff_to_json
 from repro.core.diogenes import DiogenesConfig
 from repro.exec.columnar import decode_tree
@@ -708,10 +709,6 @@ class ServiceDaemon:
                                   '"workload" field')
         name = request["workload"]
         params = request.get("params") or {}
-        from repro.apps.base import registry
-        from repro.core.cli import _load_workloads
-
-        _load_workloads()
         if name not in registry.names():
             raise _HttpError(400, f"unknown workload {name!r}; "
                                   f"known: {registry.names()}")

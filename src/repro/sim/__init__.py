@@ -20,28 +20,24 @@ Design notes
   numpy so content-based deduplication downstream is honest.
 """
 
-from repro.sim.clock import VirtualClock
-from repro.sim.costs import CostModel
-from repro.sim.device import GpuDevice
-from repro.sim.engine import Engine
-from repro.sim.machine import Machine, MachineConfig
-from repro.sim.ops import DeviceOp, OpKind
-from repro.sim.render import render_timeline
-from repro.sim.stream import Stream
-from repro.sim.trace import CpuInterval, GpuOpRecord, TimelineRecorder
+from repro._lazy import exports
 
-__all__ = [
-    "CostModel",
-    "CpuInterval",
-    "DeviceOp",
-    "Engine",
-    "GpuDevice",
-    "GpuOpRecord",
-    "Machine",
-    "MachineConfig",
-    "OpKind",
-    "Stream",
-    "TimelineRecorder",
-    "render_timeline",
-    "VirtualClock",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "VirtualClock": "repro.sim.clock",
+    "CostModel": "repro.sim.costs",
+    "GpuDevice": "repro.sim.device",
+    "Engine": "repro.sim.engine",
+    "Machine": "repro.sim.machine",
+    "MachineConfig": "repro.sim.machine",
+    "DeviceOp": "repro.sim.ops",
+    "OpKind": "repro.sim.ops",
+    "render_timeline": "repro.sim.render",
+    "Stream": "repro.sim.stream",
+    "CpuInterval": "repro.sim.trace",
+    "GpuOpRecord": "repro.sim.trace",
+    "TimelineRecorder": "repro.sim.trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

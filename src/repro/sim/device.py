@@ -12,6 +12,7 @@ import math
 
 from repro.sim.engine import Engine
 from repro.sim.ops import DeviceOp, OpKind
+from repro.sim.stream import Stream
 
 
 class DeviceError(RuntimeError):
@@ -60,8 +61,6 @@ class GpuDevice:
         }
         for engine in self.compute_engines:
             self.engines[engine.name] = engine
-        from repro.sim.stream import Stream
-
         self._stream_cls = Stream
         self.streams: dict[int, Stream] = {0: Stream(0)}
         self._next_stream_id = 1

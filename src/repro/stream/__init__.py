@@ -7,12 +7,15 @@ turns the live event flow into versioned ranked-problem snapshots.
 See ``docs/streaming.md``.
 """
 
-from repro.stream.incremental import StreamAnalyzer
-from repro.stream.sink import EventSink, active_sink, subscribed
+from repro._lazy import exports
 
-__all__ = [
-    "EventSink",
-    "StreamAnalyzer",
-    "active_sink",
-    "subscribed",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "StreamAnalyzer": "repro.stream.incremental",
+    "EventSink": "repro.stream.sink",
+    "active_sink": "repro.stream.sink",
+    "subscribed": "repro.stream.sink",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

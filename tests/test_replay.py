@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from repro.apps.replay import (
     timeline_from_chrome,
     timeline_from_cupti,
 )
+from repro.core.cli import main
 from repro.core.diogenes import Diogenes
 from repro.fuzz import FuzzedApp
 
@@ -147,6 +149,55 @@ def test_cupti_converter_rejects_empty_and_unknown_records():
 def test_cupti_converter_names_the_bad_record_and_field(records, message):
     with pytest.raises(ValueError, match=message):
         timeline_from_cupti(_activity(records))
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"kind": "memcpy", "copy": "h2d", "start": 0.0, "payload": ["a"],
+       "buffer": "b"}],
+     "activity record 0: bad 'payload' value \\['a'\\]"),
+    ([{"kind": "memcpy", "copy": "h2d", "start": 0.0, "payload": "p",
+       "buffer": {"x": 1}}],
+     "activity record 0: bad 'buffer' value \\{'x': 1\\}"),
+    ([{"kind": "kernel", "start": 0.0, "duration": 1e-5},
+      {"kind": "memcpy", "copy": "d2h", "start": 1.0, "buffer": "b",
+       "dst": ["h"]}],
+     "activity record 1: bad 'dst' value"),
+    ([{"kind": "host_read", "start": 0.0, "buffer": {}}],
+     "activity record 0: bad 'buffer' value"),
+    ([{"kind": "kernel", "start": 0.0, "duration": 1e-5,
+       "writes": [{"buffer": "b", "payload": [1, 2]}]}],
+     "activity record 0 writes\\[0\\]: bad 'payload' value"),
+    ([{"kind": "kernel", "start": 0.0, "duration": 1e-5,
+       "writes": [{"buffer": ["b"], "payload": "p"}]}],
+     "activity record 0 writes\\[0\\]: bad 'buffer' value"),
+], ids=["h2d-payload", "h2d-buffer", "d2h-dst", "read-buffer",
+        "write-payload", "write-buffer"])
+def test_cupti_converter_rejects_tags_that_cannot_key_the_plan(records,
+                                                               message):
+    # A list or an object cannot key the replay plan: the converter
+    # names it instead of the first collection run failing on it.
+    with pytest.raises(ValueError, match=message):
+        timeline_from_cupti(_activity(records))
+
+
+def test_chrome_converter_rejects_a_digest_that_cannot_key_the_plan():
+    event = {"ph": "X", "cat": "cuda", "name": "cudaMemcpy", "ts": 0.0,
+             "dur": 10.0, "args": {"is_transfer": True, "digest": ["d"]}}
+    with pytest.raises(ValueError,
+                       match="traceEvents\\[0\\]: bad 'digest' value"):
+        timeline_from_chrome({"traceEvents": [event]})
+
+
+def test_run_names_a_bad_trace_tag_on_its_bad_param_line(tmp_path):
+    trace = tmp_path / "bad-tag.json"
+    trace.write_text(json.dumps(_activity([
+        {"kind": "memcpy", "copy": "h2d", "start": 0.0, "payload": ["a"],
+         "buffer": "b"}])))
+    with pytest.raises(SystemExit) as info:
+        main(["run", "replay", "--param", f"trace={trace}"])
+    assert str(info.value) == (
+        "bad --param for 'replay': activity record 0: bad 'payload' value "
+        "['a'] (a tag cannot be a list or an object)")
 
 
 @pytest.mark.parametrize("document, message", [

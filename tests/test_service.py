@@ -713,6 +713,22 @@ class TestDaemonValidation:
         assert info.value.status == 400
         assert client.jobs()["jobs"] == []
 
+    def test_unusable_replay_tag_is_400_and_queues_nothing(self, service,
+                                                          tmp_path):
+        # A trace tag that cannot key the replay plan is refused at
+        # submit, not found by the job's first collection run.
+        trace = tmp_path / "bad-tag.json"
+        trace.write_text(json.dumps({
+            "schema": "diogenes-cupti-activity/1",
+            "records": [{"kind": "memcpy", "copy": "h2d", "start": 0.0,
+                         "payload": "p", "buffer": {"x": 1}}]}))
+        client, _ = service
+        with pytest.raises(ServiceError,
+                           match="activity record 0: bad 'buffer'") as info:
+            client.submit("replay", {"trace": str(trace)})
+        assert info.value.status == 400
+        assert client.jobs()["jobs"] == []
+
     def test_retired_config_field_is_400(self, service):
         # Stage 3 always runs as two collection runs: no config field
         # merges them, and a config naming an unknown field is refused.

@@ -9,11 +9,14 @@ The reproduction preserves both the mechanism and the limitation.
 import numpy as np
 import pytest
 
+import repro.hostmem.buffer as hostbuffer
+from repro.apps.amg import Amg
 from repro.apps.base import Workload
+from repro.apps.replay import ReplayApp
 from repro.core.diogenes import Diogenes
 from repro.core.graph import ProblemKind
 from repro.cupti import CuptiSubscription
-from repro.driver.api import INTERNAL_WAIT_SYMBOL
+from repro.driver.api import INTERNAL_WAIT_SYMBOL, CudaDriver
 from repro.instr.probes import Probe
 
 
@@ -148,3 +151,33 @@ class TestSection53Limitation:
         fault_problems = [p for p in report.analysis.problems
                           if p.api_name == INTERNAL_WAIT_SYMBOL]
         assert fault_problems == []
+
+
+class TestAccessEventsOnlyWhereAHookActs:
+    """The driver's fault handler acts on managed buffers alone, so an
+    access to any other buffer builds no event unless some other hook
+    (load/store instrumentation) watches every access."""
+
+    def test_bare_replay_builds_no_access_event(self, monkeypatch):
+        built = []
+        event = hostbuffer.AccessEvent
+        monkeypatch.setattr(hostbuffer, "AccessEvent",
+                            lambda **kw: built.append(kw) or event(**kw))
+        ReplayApp("dl-training").execute().close()
+        assert built == []
+
+    def test_managed_faults_unchanged(self, monkeypatch):
+        # Fixed amg memsets its managed vectors on the host, 20 cycles
+        # of two vectors: each of those 40 managed accesses still
+        # reaches the handler.
+        faults = []
+        handler = CudaDriver._uvm_fault_handler
+
+        def counting(self, event):
+            faults.append(event.buffer.managed)
+            return handler(self, event)
+
+        monkeypatch.setattr(CudaDriver, "_uvm_fault_handler", counting)
+        ctx = Amg(fixed=True).execute()
+        ctx.close()
+        assert faults.count(True) == 40
